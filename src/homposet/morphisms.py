@@ -20,11 +20,11 @@ from .rings import (
     Ideal,
     RingMorphism,
     compose,
+    coset_reps,
     identity_morphism,
     product_factors,
     ring_label,
     subring,
-    subring_closure,
 )
 
 
@@ -66,17 +66,6 @@ def _propagate(src: FiniteRing, tgt: FiniteRing, known: dict, fresh: list):
     return known
 
 
-def _generating_chain(ring: FiniteRing) -> tuple:
-    """Greedy generator list: each element enlarges the closed subring."""
-    gens = []
-    span = subring_closure(ring, ())
-    while len(span) < ring.size:
-        nxt = min(x for x in range(ring.size) if x not in span)
-        gens.append(nxt)
-        span = subring_closure(ring, span | {nxt})
-    return tuple(gens)
-
-
 @lru_cache(maxsize=None)
 def _morphisms_cached(src: FiniteRing, tgt: FiniteRing) -> tuple:
     # char(tgt) must divide char(src) or 1 has no consistent image
@@ -86,7 +75,7 @@ def _morphisms_cached(src: FiniteRing, tgt: FiniteRing) -> tuple:
                       [src.zero, src.one])
     if base is None:
         return ()
-    gens = _generating_chain(src)
+    gens = src.generators
     sorders, torders = src.additive_orders, tgt.additive_orders
     found = []
 
@@ -128,20 +117,6 @@ def enumerate_morphisms(src: FiniteRing, tgt: FiniteRing,
 # ring epimorphism test via tensor vanishing
 
 
-def _coset_reps(ring: FiniteRing, members: frozenset) -> tuple:
-    """(rep_of, reps): additive-coset representatives by least index."""
-    add = ring.add_table
-    rep = {}
-    for x in range(ring.size):
-        if x in rep:
-            continue
-        coset = sorted(add[x][m] for m in members)
-        for y in coset:
-            rep[y] = coset[0]
-    reps = tuple(sorted(set(rep.values())))
-    return rep, reps
-
-
 def epi_obstruction_invariants(f: RingMorphism) -> tuple:
     """Invariant factors of S (x)_R (S / f(R)) as a finite abelian group.
 
@@ -153,7 +128,7 @@ def epi_obstruction_invariants(f: RingMorphism) -> tuple:
     """
     src, tgt = f.source, f.target
     fr_members = f.image_members
-    rep_of, creps = _coset_reps(tgt, fr_members)
+    rep_of, creps = coset_reps(tgt, fr_members)
     c_index = {r: i for i, r in enumerate(creps)}
 
     def c_add(i, j):

@@ -3,7 +3,9 @@
 Over a finite ring every element that is regular mod an ideal is already a
 unit mod that ideal, so each realized pair is (a, preimage of units of R/a)
 and the poset is in order-preserving bijection with the proper two-sided
-ideals.  hom_poset materializes it that way: one quotient per ideal.
+ideals.  Units lift along R -> R/a when R is finite, so that preimage is
+U(R) + a.  hom_poset materializes the poset that way: one pair per proper
+ideal of the enumerated lattice, with no quotient ring built.
 
 join_ext adjoins TOP to make the bounded lattice; joins are computed order
 theoretically as least common upper bounds, with TOP when no pair bounds
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import NotCommutative, RingMismatch
+from .errors import ImproperIdeal, NotCommutative, RingMismatch
 from .morphisms import direct_limit_chain, enumerate_morphisms
 from .pairs import TOP, HomPair, leq, pair_of_morphism
 from .rings import (
@@ -26,7 +28,6 @@ from .rings import (
     is_prime,
     jacobson_radical,
     make_finite_field,
-    make_quotient,
     product_factors,
     proper_ideals,
     ring_label,
@@ -72,9 +73,6 @@ class HomPoset:
             tuple(leq(p, q) for q in els) for p in els
         )
 
-    def leq_by_index(self, i: int, j: int) -> bool:
-        return self.leq_matrix[i][j]
-
     @property
     def least(self) -> HomPair:
         return self.elements[0]
@@ -86,10 +84,10 @@ class HomPoset:
 
 @lru_cache(maxsize=None)
 def _hom_poset_cached(ring: FiniteRing, adjoin_top: bool) -> HomPoset:
-    pairs = []
-    for ideal in proper_ideals(ring):
-        quotient, proj = make_quotient(ring, ideal)
-        pairs.append(HomPair(ring, ideal.members, proj.unit_preimage_members))
+    pairs = [
+        HomPair(ring, ideal.members, _units_plus(ring, ideal.members))
+        for ideal in proper_ideals(ring)
+    ]
     pairs.sort(key=lambda p: p.sort_key())
     poset = HomPoset(ring, tuple(pairs), adjoin_top)
     assert poset.elements[0].ideal == frozenset({ring.zero}), "least pair must be (0, U)"
@@ -152,8 +150,20 @@ def least_of_fiber(ring: FiniteRing, ideal) -> HomPair:
     Over a finite ring the fiber over an ideal is this single pair.
     """
     imembers = frozenset(getattr(ideal, "members", ideal))
-    quotient, proj = make_quotient(ring, Ideal(ring, imembers))
-    return HomPair(ring, imembers, proj.unit_preimage_members)
+    if not Ideal(ring, imembers).is_proper:
+        raise ImproperIdeal("the whole ring carries no pair")
+    return HomPair(ring, imembers, _units_plus(ring, imembers))
+
+
+def _units_plus(ring: FiniteRing, imembers: frozenset) -> frozenset:
+    """U(R) + I, the preimage of the units of R/I for a finite ring R."""
+    add = ring.add_table
+    out = set()
+    for u in ring.unit_indices:
+        if u not in out:
+            row = add[u]
+            out.update(row[i] for i in imembers)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

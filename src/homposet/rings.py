@@ -120,6 +120,22 @@ class FiniteRing:
         return self.additive_orders[self.one]
 
     @cached_property
+    def generators(self) -> tuple:
+        """Greedy generator list: each element enlarges the closed subring.
+
+        Together with 1 these generate the ring, so a subset is closed under
+        multiplication by every element once it is closed under
+        multiplication by each generator.
+        """
+        gens = []
+        span = subring_closure(self, ())
+        while len(span) < self.size:
+            nxt = min(x for x in range(self.size) if x not in span)
+            gens.append(nxt)
+            span = subring_closure(self, span | {nxt})
+        return tuple(gens)
+
+    @cached_property
     def is_commutative(self) -> bool:
         mul = self.mul_table
         return all(
@@ -579,10 +595,27 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         [undigits(tuple((a + b) % p for a, b in zip(polys[i], polys[j]))) for j in range(q)]
         for i in range(q)
     ]
-    mul = [
-        [undigits(_poly_mul_mod(polys[i], polys[j], modulus, p)) for j in range(q)]
-        for i in range(q)
-    ]
+    # the multiplicative group is cyclic: with exp listing the powers of a
+    # primitive element and log inverting it, a*b = exp[log a + log b]
+    order = q - 1
+    for g in range(1, q):
+        exp = [1]
+        while True:
+            nxt = undigits(_poly_mul_mod(polys[exp[-1]], polys[g], modulus, p))
+            if nxt == 1:
+                break
+            exp.append(nxt)
+        if len(exp) == order:
+            break
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp2 = exp + exp
+    mul = [[0] * q for _ in range(q)]
+    for a in range(1, q):
+        row, la = mul[a], log[a]
+        for b in range(1, q):
+            row[b] = exp2[la + log[b]]
     return _from_tables(add, mul, 0, 1, ("gf", p, k, modulus))
 
 
@@ -642,6 +675,25 @@ def product_injections(ring: FiniteRing):
     return inj1, inj2
 
 
+def coset_reps(ring: FiniteRing, members) -> tuple:
+    """(rep_of, reps) for the additive cosets of a subgroup given by members.
+
+    rep_of[x] is the least index in x + members and reps lists those least
+    indices in increasing order.  Scanning x upward, the first index not yet
+    covered is the least of its coset, so no sorting is needed.
+    """
+    add = ring.add_table
+    rep_of = [None] * ring.size
+    reps = []
+    for x in range(ring.size):
+        if rep_of[x] is None:
+            reps.append(x)
+            row = add[x]
+            for m in members:
+                rep_of[row[m]] = x
+    return tuple(rep_of), tuple(reps)
+
+
 def make_quotient(ring: FiniteRing, ideal: Ideal):
     """Quotient by a proper two-sided ideal, plus the projection morphism.
 
@@ -654,15 +706,7 @@ def make_quotient(ring: FiniteRing, ideal: Ideal):
         raise ImproperIdeal("cannot quotient by the whole ring")
     members = ideal.members
     add = ring.add_table
-    rep = {}
-    for x in range(ring.size):
-        if x in rep:
-            continue
-        coset = sorted(add[x][m] for m in members)
-        r = coset[0]
-        for y in coset:
-            rep[y] = r
-    reps = sorted(set(rep.values()))
+    rep, reps = coset_reps(ring, members)
     qidx = {r: i for i, r in enumerate(reps)}
     qsize = len(reps)
     qadd = [[qidx[rep[add[reps[i]][reps[j]]]] for j in range(qsize)] for i in range(qsize)]
@@ -828,51 +872,96 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     return Ideal(ring, frozenset(members))
 
 
+class _Subgroup:
+    """Additive subgroup of a ring, grown one coset at a time.
+
+    elems lists the members, inside flags them by index, and basis holds
+    the elements whose cyclic groups were added, so the subgroup is the sum
+    of those cyclic groups.
+    """
+
+    __slots__ = ("ring", "elems", "inside", "basis")
+
+    def __init__(self, ring: FiniteRing, members=None, basis=()):
+        self.ring = ring
+        self.elems = [ring.zero] if members is None else list(members)
+        self.inside = bytearray(ring.size)
+        for x in self.elems:
+            self.inside[x] = 1
+        self.basis = list(basis)
+
+    def extend(self, c: int) -> bool:
+        """Grow H to H + <c> by adjoining the cosets c + H, 2c + H, ...
+
+        Returns False when c already lies in H.
+        """
+        inside, elems, add = self.inside, self.elems, self.ring.add_table
+        if inside[c]:
+            return False
+        old = tuple(elems)
+        t = c
+        while not inside[t]:
+            row = add[t]
+            for h in old:
+                y = row[h]
+                inside[y] = 1
+                elems.append(y)
+            t = row[c]
+        self.basis.append(c)
+        return True
+
+    def close_ideal(self, pending) -> None:
+        """Grow to the least two-sided ideal containing H and pending.
+
+        Each new basis element c queues x*c and c*x for the ring generators
+        x only: the elements r with rH and Hr inside H form a subring, so
+        holding the generators and 1 it is the whole ring.
+        """
+        mul, gens = self.ring.mul_table, self.ring.generators
+        pending = list(pending)
+        while pending:
+            c = pending.pop()
+            if self.extend(c):
+                row = mul[c]
+                for x in gens:
+                    pending.append(mul[x][c])
+                    pending.append(row[x])
+
+
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
-    """Least two-sided ideal containing gens, by fixed-point closure."""
-    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    known = {ring.zero} | set(gens)
-    work = list(known)
-    while work:
-        a = work.pop()
-        for c in (neg[a],):
-            if c not in known:
-                known.add(c)
-                work.append(c)
-        for b in list(known):
-            c = add[a][b]
-            if c not in known:
-                known.add(c)
-                work.append(c)
-        for r in range(ring.size):
-            for c in (mul[r][a], mul[a][r]):
-                if c not in known:
-                    known.add(c)
-                    work.append(c)
-    return Ideal(ring, frozenset(known))
+    """Least two-sided ideal containing gens, by coset-extension closure."""
+    sub = _Subgroup(ring)
+    sub.close_ideal(gens)
+    return Ideal(ring, frozenset(sub.elems))
 
 
 @lru_cache(maxsize=None)
 def enumerate_ideals(ring: FiniteRing) -> tuple:
     """All two-sided ideals, sorted by size then member order.
 
-    Seeds with the principal ideals and closes under pairwise sums; every
-    ideal is a finite sum of principal ones, so the closure is complete.
+    Every ideal is a finite sum of principal ones.  Starting from {0}, each
+    distinct principal ideal P, smallest first, is added to every ideal
+    found so far; a P already found is a sum of earlier principal ideals
+    and adds nothing.  A sum of ideals is an ideal, so it needs only the
+    additive step: grow one summand by the other's additive basis.
     """
-    add = ring.add_table
-    seeds = {ideal_generated_by(ring, (x,)).members for x in range(ring.size)}
-    ideals = set(seeds)
-    frontier = set(seeds)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in ideals:
-                s = frozenset(add[x][y] for x in a for y in b)
-                if s not in ideals and s not in fresh:
-                    fresh.add(s)
-        ideals |= fresh
-        frontier = fresh
-    ordered = sorted(ideals, key=lambda m: (len(m), sorted(m)))
+    principal = {}
+    for x in range(ring.size):
+        sub = _Subgroup(ring)
+        sub.close_ideal((x,))
+        principal.setdefault(frozenset(sub.elems), tuple(sub.basis))
+    lattice = {frozenset({ring.zero}): ()}
+    for p, p_basis in sorted(principal.items(), key=lambda kv: len(kv[0])):
+        if p in lattice:
+            continue
+        for members, basis in list(lattice.items()):
+            if p <= members:
+                continue
+            sub = _Subgroup(ring, members, basis)
+            for c in p_basis:
+                sub.extend(c)
+            lattice.setdefault(frozenset(sub.elems), tuple(sub.basis))
+    ordered = sorted(lattice, key=lambda m: (len(m), sorted(m)))
     return tuple(Ideal(ring, m) for m in ordered)
 
 
@@ -996,23 +1085,11 @@ def element_label(ring: FiniteRing, index: int) -> str:
     if tag == "quotient":
         base = prov[1]
         # quotient carrier indices are sorted coset representatives
-        reps = _quotient_reps(base, prov[2])
+        _, reps = coset_reps(base, prov[2])
         return element_label(base, reps[index])
     if tag == "subring":
         return element_label(prov[1], prov[2][index])
     return str(index)
-
-
-def _quotient_reps(base: FiniteRing, members) -> tuple:
-    add = base.add_table
-    rep = {}
-    for x in range(base.size):
-        if x in rep:
-            continue
-        coset = sorted(add[x][m] for m in members)
-        for y in coset:
-            rep[y] = coset[0]
-    return tuple(sorted(set(rep.values())))
 
 
 def regenerate(ring: FiniteRing) -> FiniteRing:

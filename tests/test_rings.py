@@ -15,13 +15,17 @@ from homposet.errors import (
     RingMismatch,
     ZeroRingExcluded,
 )
+from homposet.oracle import build_catalog
+from homposet.poset import hom_poset
 from homposet.rings import (
     FiniteRing,
     Ideal,
     MultiplicativeSet,
     RingMorphism,
+    _poly_mul_mod,
     check_table_axioms,
     compose,
+    coset_reps,
     enumerate_ideals,
     ideal_generated_by,
     identity_morphism,
@@ -327,6 +331,115 @@ def test_compose_and_identity():
 
     with pytest.raises(NotComposable):
         compose(f, g)
+
+
+# ---------------------------------------------------------------------------
+# reference closures: the earlier fixed-point algorithm, kept to pin the
+# coset-extension closure and the lattice enumeration to the same answers
+
+
+def reference_ideal_members(ring, gens) -> frozenset:
+    """Least two-sided ideal containing gens, by fixed-point closure."""
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    known = {ring.zero} | set(gens)
+    work = list(known)
+    while work:
+        a = work.pop()
+        for c in (neg[a],):
+            if c not in known:
+                known.add(c)
+                work.append(c)
+        for b in list(known):
+            c = add[a][b]
+            if c not in known:
+                known.add(c)
+                work.append(c)
+        for r in range(ring.size):
+            for c in (mul[r][a], mul[a][r]):
+                if c not in known:
+                    known.add(c)
+                    work.append(c)
+    return frozenset(known)
+
+
+def reference_ideals(ring) -> list:
+    """Principal ideals closed under pairwise sums, sorted by size then members."""
+    add = ring.add_table
+    seeds = {reference_ideal_members(ring, (x,)) for x in range(ring.size)}
+    ideals = set(seeds)
+    frontier = set(seeds)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for b in ideals:
+                s = frozenset(add[x][y] for x in a for y in b)
+                if s not in ideals and s not in fresh:
+                    fresh.add(s)
+        ideals |= fresh
+        frontier = fresh
+    return sorted(ideals, key=lambda m: (len(m), sorted(m)))
+
+
+def assert_lattice_matches_reference(ring):
+    assert [i.members for i in enumerate_ideals(ring)] == reference_ideals(ring)
+    for x in range(ring.size):
+        assert ideal_generated_by(ring, (x,)).members == reference_ideal_members(ring, (x,))
+    gens = (ring.size // 2, ring.size - 1)
+    assert ideal_generated_by(ring, gens).members == reference_ideal_members(ring, gens)
+    # each realized pair's second component is the preimage of the quotient's units
+    for pair in hom_poset(ring).elements:
+        _, pi = make_quotient(ring, Ideal(ring, pair.ideal))
+        assert pair.mset == pi.unit_preimage_members
+
+
+def test_ideal_lattice_matches_reference_on_catalog():
+    for ring in build_catalog(16).rings:
+        assert_lattice_matches_reference(ring)
+
+
+def test_ideal_lattice_matches_reference_on_matrix_ring():
+    m2 = make_matrix_ring(make_zmod(3), 2, Caps(table_size=81))
+    assert_lattice_matches_reference(m2)
+
+
+small_rings = st.sampled_from(
+    [make_zmod(n) for n in range(2, 7)]
+    + [make_finite_field(2, 2), make_finite_field(3, 2), make_matrix_ring(make_zmod(2), 2)]
+)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(small_rings, min_size=2, max_size=3).filter(
+    lambda rs: math.prod(r.size for r in rs) <= 36))
+def test_ideal_lattice_matches_reference_on_products(factors):
+    ring = factors[0]
+    for factor in factors[1:]:
+        ring = make_product(ring, factor)
+    assert_lattice_matches_reference(ring)
+
+
+def test_finite_field_tables_match_schoolbook_product():
+    wide = Caps(table_size=256)
+    for q in range(2, 257):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = round(math.log(q, p))
+        if p**k != q:
+            continue
+        gf = make_finite_field(p, k, wide)
+        modulus = gf.provenance[3]
+        polys = [tuple((i // p**j) % p for j in range(k)) for i in range(q)]
+        index = {c: i for i, c in enumerate(polys)}
+        schoolbook = tuple(
+            tuple(index[_poly_mul_mod(a, b, modulus, p)] for b in polys) for a in polys
+        )
+        assert gf.mul_table == schoolbook, q
+
+
+def test_coset_reps_are_least_and_sorted():
+    z12 = make_zmod(12)
+    rep_of, reps = coset_reps(z12, frozenset({0, 4, 8}))
+    assert reps == (0, 1, 2, 3)
+    assert rep_of == tuple(x % 4 for x in range(12))
 
 
 @settings(deadline=None)
