@@ -94,8 +94,6 @@ def _parse_at(tokens, pos, caps):
             gens = [int(t) for t in body.split(",") if t.strip()]
         except ValueError:
             raise ValueError(f"bad generator list {body!r}") from None
-        if any(not 0 <= g < base.size for g in gens):
-            raise ValueError("generator index out of range")
         ideal = ideal_generated_by(base, gens)
         ring, _ = make_quotient(base, ideal)
         return ring, nxt + 1

@@ -7,9 +7,10 @@ ideals.  Units lift along R -> R/a when R is finite, so that preimage is
 U(R) + a.  hom_poset materializes the poset that way: one pair per proper
 ideal of the enumerated lattice, with no quotient ring built.
 
-join_ext adjoins TOP to make the bounded lattice; joins are computed order
-theoretically as least common upper bounds, with TOP when no pair bounds
-both arguments.
+The order is inclusion of ideals, read from one table per poset (see
+HomPoset.above).  join_ext adjoins TOP to make the bounded lattice: the join
+of two pairs is the pair of the ideal sum, or TOP when that sum is the whole
+ring.  Maxima and Hasse covers come from the same table.
 """
 from __future__ import annotations
 
@@ -34,25 +35,13 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HomPoset:
     """All realized pairs over one ring, in a fixed canonical order."""
 
     ring: FiniteRing
     elements: tuple
     top_adjoined: bool = False
-
-    def __eq__(self, other):
-        if not isinstance(other, HomPoset):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.elements == other.elements
-            and self.top_adjoined == other.top_adjoined
-        )
-
-    def __hash__(self):
-        return hash((hash(self.ring), self.elements, self.top_adjoined))
 
     def __len__(self):
         return len(self.elements) + (1 if self.top_adjoined else 0)
@@ -67,10 +56,18 @@ class HomPoset:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
-    def leq_matrix(self) -> tuple:
-        els = self.elements
+    def above(self) -> tuple:
+        """Strict upsets as bitmasks: bit j of above[i] is set when the ideal
+        of element i lies strictly inside the ideal of element j.
+
+        Ideal inclusion is the whole order because M = U(R)+I grows with I.
+        A strictly larger ideal sorts later, so only bits j > i can be set,
+        and TOP (index len(elements) when adjoined) is left out.
+        """
+        ideals = [p.ideal for p in self.elements]
         return tuple(
-            tuple(leq(p, q) for q in els) for p in els
+            sum(1 << j for j in range(i + 1, len(ideals)) if ideal < ideals[j])
+            for i, ideal in enumerate(ideals)
         )
 
     @property
@@ -84,12 +81,14 @@ class HomPoset:
 
 @lru_cache(maxsize=None)
 def _hom_poset_cached(ring: FiniteRing, adjoin_top: bool) -> HomPoset:
+    if adjoin_top:
+        return HomPoset(ring, _hom_poset_cached(ring, False).elements, True)
     pairs = [
         HomPair(ring, ideal.members, _units_plus(ring, ideal.members))
         for ideal in proper_ideals(ring)
     ]
     pairs.sort(key=lambda p: p.sort_key())
-    poset = HomPoset(ring, tuple(pairs), adjoin_top)
+    poset = HomPoset(ring, tuple(pairs))
     assert poset.elements[0].ideal == frozenset({ring.zero}), "least pair must be (0, U)"
     return poset
 
@@ -110,38 +109,38 @@ def clear_poset_cache():
 def join_ext(p, q, poset: HomPoset):
     """Least upper bound of two pairs inside the completed poset.
 
-    Returns TOP when no realized pair dominates both arguments; otherwise
-    the unique least common upper bound, whose existence is asserted rather
-    than assumed.
+    The join is the pair of the ideal sum, the least proper ideal above
+    both, and it sorts first among the common upper bounds; TOP when the
+    sum is the whole ring and no pair bounds both.  Both arguments must be
+    TOP or elements of the poset.
     """
     if p is TOP or q is TOP:
         return TOP
-    uppers = [x for x in poset.elements if leq(p, x) and leq(q, x)]
-    if not uppers:
+    if p.ring != poset.ring or q.ring != poset.ring:
+        raise RingMismatch("pairs over different rings are incomparable")
+    i, j = poset.index[p], poset.index[q]
+    common = (poset.above[i] | 1 << i) & (poset.above[j] | 1 << j)
+    if not common:
         return TOP
-    least = [x for x in uppers if all(leq(x, y) for y in uppers)]
-    assert len(least) == 1, f"common upper bounds of {p} and {q} have no minimum"
-    return least[0]
+    return poset.elements[(common & -common).bit_length() - 1]
 
 
 def max_elements(poset: HomPoset) -> tuple:
     """Maximal pairs of the plain poset (the completion has TOP on top)."""
     if poset.top_adjoined:
         raise ValueError("maximal elements are asked of the poset without TOP")
-    els = poset.elements
-    out = []
-    for i, p in enumerate(els):
-        if not any(j != i and poset.leq_matrix[i][j] for j in range(len(els))):
-            out.append(p)
-    return tuple(out)
+    return _maximal(poset)
 
 
 def has_greatest(poset: HomPoset):
     """The greatest pair if one exists, else None."""
-    mx = max_elements(hom_poset(poset.ring)) if poset.top_adjoined else max_elements(poset)
-    if len(mx) == 1:
-        return mx[0]
-    return None
+    mx = _maximal(poset)
+    return mx[0] if len(mx) == 1 else None
+
+
+def _maximal(poset: HomPoset) -> tuple:
+    """Pairs with an empty strict upset, TOP aside."""
+    return tuple(p for p, up in zip(poset.elements, poset.above) if not up)
 
 
 def least_of_fiber(ring: FiniteRing, ideal) -> HomPair:
@@ -426,17 +425,25 @@ def limit_exchange_check(rings, maps, caps: Caps = DEFAULT_CAPS) -> LimitExchang
 def hasse(poset: HomPoset) -> tuple:
     """Cover relations as index pairs (i, j) with element i covered by j.
 
-    TOP, when adjoined, takes index len(elements).
+    The covers of i are its strict upset minus everything strictly above
+    some member of it.  TOP, when adjoined, takes index len(elements) and
+    covers the maximal pairs.  Edges come out sorted.
     """
-    els = poset.elements
-    n = len(els)
-    lt = [[i != j and poset.leq_matrix[i][j] for j in range(n)] for i in range(n)]
+    above = poset.above
+    top = 1 << len(above) if poset.top_adjoined else 0
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n)):
-                edges.append((i, j))
-    if poset.top_adjoined:
-        maximal = [i for i in range(n) if not any(lt[i][j] for j in range(n))]
-        edges.extend((i, n) for i in maximal)
-    return tuple(sorted(edges))
+    for i, up in enumerate(above):
+        beyond = 0
+        for j in _bits(up):
+            beyond |= above[j]
+        # an empty upset means i is maximal, covered by TOP alone if adjoined
+        edges.extend((i, j) for j in _bits(up & ~beyond or top))
+    return tuple(edges)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

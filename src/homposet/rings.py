@@ -223,7 +223,7 @@ def _is_submonoid(ring: FiniteRing, members: frozenset) -> bool:
     return all(mul[a][b] in members for a in members for b in members)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Ideal:
     ring: FiniteRing
     members: frozenset
@@ -233,14 +233,6 @@ class Ideal:
             object.__setattr__(self, "members", frozenset(self.members))
         if not _is_ideal(self.ring, self.members):
             raise NotAnIdeal(sorted(self.members))
-
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.ring == other.ring and self.members == other.members
-
-    def __hash__(self):
-        return hash((hash(self.ring), self.members))
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -256,7 +248,7 @@ class Ideal:
         return f"Ideal({sorted(self.members)} of {ring_label(self.ring)})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MultiplicativeSet:
     ring: FiniteRing
     members: frozenset
@@ -266,14 +258,6 @@ class MultiplicativeSet:
             object.__setattr__(self, "members", frozenset(self.members))
         if not _is_submonoid(self.ring, self.members):
             raise NotASubmonoid(sorted(self.members))
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiplicativeSet):
-            return NotImplemented
-        return self.ring == other.ring and self.members == other.members
-
-    def __hash__(self):
-        return hash((hash(self.ring), self.members))
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -930,6 +914,9 @@ class _Subgroup:
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
     """Least two-sided ideal containing gens, by coset-extension closure."""
+    gens = tuple(gens)
+    if any(not 0 <= g < ring.size for g in gens):
+        raise ValueError("generator index out of range")
     sub = _Subgroup(ring)
     sub.close_ideal(gens)
     return Ideal(ring, frozenset(sub.elems))

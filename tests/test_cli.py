@@ -152,6 +152,11 @@ def test_exit_parse_error(capsys):
     assert code == 2 and "trailing tokens" in err
 
 
+def test_exit_generator_out_of_range(capsys):
+    code, _, err = run(capsys, "hom", "quot:zmod:12:gens=-1")
+    assert code == 2 and "generator index out of range" in err
+
+
 def test_exit_cap_exceeded(capsys):
     code, _, err = run(capsys, "hom", "zmod:100")
     assert code == 3 and "cap" in err

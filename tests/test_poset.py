@@ -1,8 +1,11 @@
 """Poset materialization, joins, functoriality, maximal elements, limits."""
 import pytest
 
-from homposet.errors import NotAProduct, NotCommutative
+from homposet.cli import parse_ring
+from homposet.config import Caps
+from homposet.errors import NotAProduct, NotCommutative, RingMismatch
 from homposet.morphisms import enumerate_morphisms
+from homposet.oracle import build_catalog
 from homposet.pairs import TOP, HomPair, leq, meet
 from homposet.poset import (
     clear_poset_cache,
@@ -110,6 +113,86 @@ def test_join_is_least_upper_bound_everywhere():
                 # meet and join pair into lattice absorption laws
                 assert join_ext(meet(p, q), p, bar) == p or p is TOP
                 assert meet(join_ext(p, q, bar), p) == p or p is TOP
+
+
+# Reference order computations: the pairwise leq scans that join_ext,
+# max_elements, has_greatest and hasse used before they read the ideal
+# inclusion table.
+
+
+def _ref_join(p, q, poset):
+    if p is TOP or q is TOP:
+        return TOP
+    uppers = [x for x in poset.elements if leq(p, x) and leq(q, x)]
+    if not uppers:
+        return TOP
+    least = [x for x in uppers if all(leq(x, y) for y in uppers)]
+    assert len(least) == 1, f"common upper bounds of {p} and {q} have no minimum"
+    return least[0]
+
+
+def _ref_maximal(poset):
+    els = poset.elements
+    return tuple(
+        p for i, p in enumerate(els)
+        if not any(j != i and leq(p, q) for j, q in enumerate(els))
+    )
+
+
+def _ref_has_greatest(poset):
+    mx = _ref_maximal(poset)
+    return mx[0] if len(mx) == 1 else None
+
+
+def _ref_hasse(poset):
+    els = poset.elements
+    n = len(els)
+    lt = [[i != j and leq(els[i], els[j]) for j in range(n)] for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n)):
+                edges.append((i, j))
+    if poset.top_adjoined:
+        maximal = [i for i in range(n) if not any(lt[i][j] for j in range(n))]
+        edges.extend((i, n) for i in maximal)
+    return tuple(sorted(edges))
+
+
+def _table_check_rings():
+    rings = list(build_catalog(16).rings)
+    wide = Caps(table_size=81)
+    for desc in ("zmod:64", "product:zmod:4:product:zmod:4:zmod:4", "matrix:2:zmod:3"):
+        rings.append(parse_ring(desc, wide))
+    return rings
+
+
+def test_order_table_matches_leq_scans():
+    for ring in _table_check_rings():
+        plain = hom_poset(ring)
+        bar = hom_poset(ring, adjoin_top=True)
+        assert max_elements(plain) == _ref_maximal(plain)
+        for poset in (plain, bar):
+            assert hasse(poset) == _ref_hasse(poset)
+            assert has_greatest(poset) == _ref_has_greatest(plain)
+        for p in bar:
+            for q in bar:
+                assert join_ext(p, q, bar) == _ref_join(p, q, bar)
+
+
+def test_completed_poset_shares_the_plain_elements():
+    for n in (2, 6, 12):
+        ring = make_zmod(n)
+        assert hom_poset(ring, adjoin_top=True).elements is hom_poset(ring).elements
+
+
+def test_join_rejects_pairs_over_another_ring():
+    bar = hom_poset(make_zmod(12), adjoin_top=True)
+    other = hom_poset(make_zmod(6)).elements[1]
+    with pytest.raises(RingMismatch):
+        join_ext(other, bar.elements[0], bar)
+    with pytest.raises(RingMismatch):
+        join_ext(bar.elements[0], other, bar)
 
 
 def test_max_elements_and_greatest():

@@ -228,6 +228,13 @@ def test_ideal_generated_closure():
     assert len(ideal_generated_by(m2, (1,)).members) == 16
 
 
+def test_ideal_generated_rejects_out_of_range_index():
+    z6 = make_zmod(6)
+    for bad in (-1, z6.size):
+        with pytest.raises(ValueError, match="generator index out of range"):
+            ideal_generated_by(z6, (bad,))
+
+
 def test_ideal_wrapper_validates():
     z6 = make_zmod(6)
     with pytest.raises(NotAnIdeal):
