@@ -288,13 +288,14 @@ def _claim_meet_product(ctx):
     checked = 0
     for r in ctx.rings:
         poset = hom_poset(r)
+        quotients = {p: make_quotient(r, Ideal(r, p.ideal)) for p in poset.elements}
         for p in poset.elements:
             for q in poset.elements:
                 m = meet(p, q)
                 if m not in poset.index:
                     return checked, f"meet of pairs over {ring_label(r)} not realized"
-                qp, jp = make_quotient(r, Ideal(r, p.ideal))
-                qq, jq = make_quotient(r, Ideal(r, q.ideal))
+                qp, jp = quotients[p]
+                qq, jq = quotients[q]
                 if qp.size * qq.size > ctx.caps.table_size:
                     continue
                 checked += 1

@@ -140,7 +140,8 @@ def meet(p, q):
     """Componentwise intersection; realized whenever both inputs are.
 
     The morphism into the product of the two targets realizes it, which is
-    why no search is needed here.
+    why no search is needed here.  For comparable inputs the meet is the
+    smaller one, returned as it is; only an incomparable meet is built.
     """
     if p is TOP:
         return q
@@ -148,6 +149,10 @@ def meet(p, q):
         return p
     if p.ring != q.ring:
         raise RingMismatch("pairs over different rings have no meet")
+    if p.ideal <= q.ideal and p.mset <= q.mset:
+        return p
+    if q.ideal <= p.ideal and q.mset <= p.mset:
+        return q
     return HomPair(p.ring, p.ideal & q.ideal, p.mset & q.mset)
 
 
@@ -208,7 +213,8 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
     ok, wit = True, None
     if ring.one not in mmembers:
         ok, wit = False, "1 is missing"
-    else:
+    elif not _is_submonoid(ring, mmembers):
+        # the first product escaping M, scanned in member order
         for a in mmembers:
             if not ok:
                 break

@@ -125,15 +125,51 @@ class FiniteRing:
 
         Together with 1 these generate the ring, so a subset is closed under
         multiplication by every element once it is closed under
-        multiplication by each generator.
+        multiplication by each generator.  Each generator is the least
+        element outside the span so far, and the span grows from the
+        previous closed span, so each pair of elements is combined once.
         """
         gens = []
-        span = subring_closure(self, ())
-        while len(span) < self.size:
-            nxt = min(x for x in range(self.size) if x not in span)
-            gens.append(nxt)
-            span = subring_closure(self, span | {nxt})
+        sub = _Subring(self, (self.zero, self.one))
+        for x in range(self.size):
+            if not sub.inside[x]:
+                gens.append(x)
+                sub.grow((x,))
         return tuple(gens)
+
+    @cached_property
+    def additive_basis(self) -> tuple:
+        """Elements whose cyclic additive groups sum to the whole ring."""
+        sub = _Subgroup(self)
+        for x in range(self.size):
+            sub.extend(x)
+        return tuple(sub.basis)
+
+    @cached_property
+    def jacobson_radical(self) -> "Ideal":
+        """Largest ideal of quasi-regular elements.
+
+        x belongs iff 1 + r*x*s is a unit for every r, s; the resulting set
+        is verified to be an ideal by the Ideal constructor.
+        """
+        n = self.size
+        mul, add = self.mul_table, self.add_table
+        one = self.one
+        is_unit = [i in self.unit_indices for i in range(n)]
+        members = []
+        for x in range(n):
+            ok = True
+            for r in range(n):
+                rx = mul[r][x]
+                for s in range(n):
+                    if not is_unit[add[one][mul[rx][s]]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                members.append(x)
+        return Ideal(self, frozenset(members))
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -203,24 +239,65 @@ class RingElement:
 
 
 def _is_ideal(ring: FiniteRing, members: frozenset) -> bool:
+    """Whether members is a two-sided ideal.
+
+    The additive subgroup generated by the members is grown one coset at a
+    time and must stay inside them; once every member is reached the two
+    sets agree.  The r with rI and Ir inside I form a subring, and a -> x*a
+    is additive, so x*b and b*x need checking only for the ring generators
+    x and the subgroup's additive basis b.
+    """
     if ring.zero not in members:
         return False
-    add, mul = ring.add_table, ring.mul_table
+    sub = _Subgroup(ring)
+    elems = sub.elems
     for a in members:
-        for b in members:
-            if add[a][b] not in members:
-                return False
-        for r in range(ring.size):
-            if mul[r][a] not in members or mul[a][r] not in members:
+        start = len(elems)
+        if sub.extend(a) and not members.issuperset(elems[start:]):
+            return False
+    mul = ring.mul_table
+    for b in sub.basis:
+        row = mul[b]
+        for x in ring.generators:
+            if mul[x][b] not in members or row[x] not in members:
                 return False
     return True
 
 
 def _is_submonoid(ring: FiniteRing, members: frozenset) -> bool:
-    if ring.one not in members:
+    """Whether members is closed under multiplication and holds 1.
+
+    The monoid generated so far is grown by each member it lacks: the old
+    words are multiplied by the new generator, and each new word by every
+    generator, so each word meets each generator once.  Every word must lie
+    in members; once every member is reached the two sets agree.
+    """
+    one = ring.one
+    if one not in members:
         return False
     mul = ring.mul_table
-    return all(mul[a][b] in members for a in members for b in members)
+    reached = bytearray(ring.size)
+    reached[one] = 1
+    words, gens = [one], []
+    for g in members:
+        if reached[g]:
+            continue
+        gens.append(g)
+        fresh = [mul[w][g] for w in words]
+        i = len(words)
+        while True:
+            for y in fresh:
+                if not reached[y]:
+                    if y not in members:
+                        return False
+                    reached[y] = 1
+                    words.append(y)
+            if i == len(words):
+                break
+            row = mul[words[i]]
+            fresh = [row[h] for h in gens]
+            i += 1
+    return True
 
 
 @dataclass(frozen=True)
@@ -279,7 +356,9 @@ class RingMorphism:
 
     images[i] is the target index of source element i.  Construction checks
     preservation of 0, 1, + and x unless check=False is passed by internal
-    callers that compose already-validated morphisms.
+    callers that compose already-validated morphisms.  + is checked against
+    the source's additive basis and x against its generators, which decides
+    preservation exactly because both rings satisfy the ring axioms.
     """
 
     source: FiniteRing
@@ -301,15 +380,20 @@ class RingMorphism:
             raise ValueError("image index out of range")
         if f[src.zero] != tgt.zero or f[src.one] != tgt.one:
             raise ValueError("morphism must preserve 0 and 1")
+        # The b with f(a+b) = f(a)+f(b) for every a form a subgroup, and once
+        # f is additive, the b with f(a*b) = f(a)*f(b) for every a form a
+        # subring; so an additive basis and the ring generators suffice.
         sadd, smul = src.add_table, src.mul_table
         tadd, tmul = tgt.add_table, tgt.mul_table
-        for a in range(src.size):
-            fa = f[a]
-            for b in range(src.size):
-                fb = f[b]
-                if f[sadd[a][b]] != tadd[fa][fb]:
+        for b in src.additive_basis:
+            fb = f[b]
+            for a in range(src.size):
+                if f[sadd[a][b]] != tadd[f[a]][fb]:
                     raise ValueError(f"addition not preserved at ({a},{b})")
-                if f[smul[a][b]] != tmul[fa][fb]:
+        for b in src.generators:
+            fb = f[b]
+            for a in range(src.size):
+                if f[smul[a][b]] != tmul[f[a]][fb]:
                     raise ValueError(f"multiplication not preserved at ({a},{b})")
 
     def __call__(self, index: int) -> int:
@@ -401,7 +485,9 @@ def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS, validate: bool = True)
     """Build a ring from raw tables, deriving zero and one.
 
     Axioms are checked exhaustively unless validate=False; raw inputs are the
-    one place where tables are untrusted.
+    one place where tables are untrusted.  The ideal, submonoid and morphism
+    checks rely on the axioms, so with validate=False they are only as
+    sound as the tables.
     """
     size = len(add)
     if size > caps.table_size:
@@ -550,7 +636,7 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 
     Elements are encoded base p, low coefficient in the least significant
     digit, so index i is the polynomial sum(digit_j * x^j).  For k = 1 the
-    tables coincide with make_zmod(p).
+    tables coincide with make_zmod(p).  Repeated calls return the same ring.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -559,6 +645,12 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     q = p**k
     if q > caps.table_size:
         raise CapExceeded(f"{q} > table cap {caps.table_size}")
+    return _finite_field(p, k)
+
+
+@lru_cache(maxsize=64)
+def _finite_field(p: int, k: int) -> FiniteRing:
+    q = p**k
     modulus = _smallest_irreducible(p, k)
 
     def digits(i):
@@ -787,22 +879,9 @@ def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: 
 
 def subring_closure(ring: FiniteRing, seed) -> frozenset:
     """Least subset containing seed, 0 and 1, closed under +, -, x."""
-    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    known = {ring.zero, ring.one}
-    work = list(known | set(seed))
-    known |= set(seed)
-    while work:
-        a = work.pop()
-        for b in list(known):
-            for c in (add[a][b], mul[a][b], mul[b][a]):
-                if c not in known:
-                    known.add(c)
-                    work.append(c)
-        na = neg[a]
-        if na not in known:
-            known.add(na)
-            work.append(na)
-    return frozenset(known)
+    sub = _Subring(ring, (ring.zero, ring.one))
+    sub.grow(seed)
+    return frozenset(sub.done)
 
 
 # ---------------------------------------------------------------------------
@@ -831,29 +910,8 @@ def regular_elements(ring: FiniteRing) -> frozenset:
 
 
 def jacobson_radical(ring: FiniteRing) -> Ideal:
-    """Largest ideal of quasi-regular elements.
-
-    x belongs iff 1 + r*x*s is a unit for every r, s; the resulting set is
-    verified to be an ideal by the Ideal constructor.
-    """
-    n = ring.size
-    mul, add = ring.mul_table, ring.add_table
-    one = ring.one
-    is_unit = [i in ring.unit_indices for i in range(n)]
-    members = []
-    for x in range(n):
-        ok = True
-        for r in range(n):
-            rx = mul[r][x]
-            for s in range(n):
-                if not is_unit[add[one][mul[rx][s]]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            members.append(x)
-    return Ideal(ring, frozenset(members))
+    """Largest ideal of quasi-regular elements, computed once per ring."""
+    return ring.jacobson_radical
 
 
 class _Subgroup:
@@ -910,6 +968,43 @@ class _Subgroup:
                 for x in gens:
                     pending.append(mul[x][c])
                     pending.append(row[x])
+
+
+class _Subring:
+    """Subring of a ring, grown by closing under + and x.
+
+    done lists the members already combined with each other and inside
+    flags every member found.  Each new member is combined with itself and
+    every earlier one, in both orders for x, so each pair is combined once;
+    + closure alone gives negatives, since the ring is finite.
+    """
+
+    __slots__ = ("ring", "done", "inside")
+
+    def __init__(self, ring: FiniteRing, seed):
+        self.ring = ring
+        self.done = []
+        self.inside = bytearray(ring.size)
+        self.grow(seed)
+
+    def grow(self, seed) -> None:
+        """Grow to the least subset closed under + and x holding seed."""
+        inside, done = self.inside, self.done
+        add, mul = self.ring.add_table, self.ring.mul_table
+        work = []
+        for x in seed:
+            if not inside[x]:
+                inside[x] = 1
+                work.append(x)
+        while work:
+            a = work.pop()
+            done.append(a)
+            arow, mrow = add[a], mul[a]
+            for b in done:
+                for c in (arow[b], mrow[b], mul[b][a]):
+                    if not inside[c]:
+                        inside[c] = 1
+                        work.append(c)
 
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:

@@ -121,6 +121,15 @@ def test_meet_with_top_and_mismatch():
         meet(a, least_pair(make_zmod(4)))
 
 
+def test_meet_of_unrealized_pairs_is_componentwise():
+    z6 = make_zmod(6)
+    p = HomPair(z6, frozenset({0, 3}), frozenset({1, 5}))
+    q = HomPair(z6, frozenset({0}), frozenset({1, 3, 5}))
+    # q's ideal lies in p's but its mset does not, so neither input is the meet
+    expected = HomPair(z6, frozenset({0}), frozenset({1, 5}))
+    assert meet(p, q) == expected and meet(q, p) == expected
+
+
 def test_meet_is_glb_over_z12():
     z12 = make_zmod(12)
     els = hom_poset(z12).elements
@@ -128,6 +137,11 @@ def test_meet_is_glb_over_z12():
         for q in els:
             m = meet(p, q)
             assert leq(m, p) and leq(m, q)
+            # a comparable pair's meet is the smaller input itself
+            if leq(p, q):
+                assert m is p
+            elif leq(q, p):
+                assert m is q
             for r in els:
                 if leq(r, p) and leq(r, q):
                     assert leq(r, m)

@@ -1,9 +1,11 @@
 """Table rings: constructors, structural sets, and invariants."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homposet.cli import parse_ring
 from homposet.config import Caps
 from homposet.errors import (
     BaseNotField,
@@ -15,6 +17,7 @@ from homposet.errors import (
     RingMismatch,
     ZeroRingExcluded,
 )
+from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import build_catalog
 from homposet.poset import hom_poset
 from homposet.rings import (
@@ -22,6 +25,8 @@ from homposet.rings import (
     Ideal,
     MultiplicativeSet,
     RingMorphism,
+    _is_ideal,
+    _is_submonoid,
     _poly_mul_mod,
     check_table_axioms,
     compose,
@@ -113,6 +118,14 @@ def test_finite_field_order_one_matches_zmod():
     assert make_finite_field(5, 1) == make_zmod(5)
 
 
+def test_finite_field_is_cached_behind_its_checks():
+    wide = Caps(table_size=64)
+    f32 = make_finite_field(2, 5, wide)
+    assert make_finite_field(2, 5, wide) is f32
+    with pytest.raises(CapExceeded):
+        make_finite_field(2, 5, Caps(table_size=16))
+
+
 def test_finite_field_rejects_composite_base():
     with pytest.raises(NotPrime):
         make_finite_field(4, 2)
@@ -181,6 +194,23 @@ def test_matrix_ring_m2_f2():
 def test_matrix_ring_needs_field_base():
     with pytest.raises(BaseNotField):
         make_matrix_ring(make_zmod(4), 2)
+
+
+def reference_radical_members(ring) -> frozenset:
+    """x with 1 + r*x*s a unit for every r, s: the quasi-regular definition."""
+    add, mul, one, units_ = ring.add_table, ring.mul_table, ring.one, ring.unit_indices
+    return frozenset(
+        x for x in range(ring.size)
+        if all(add[one][mul[mul[r][x]][s]] in units_
+               for r in range(ring.size) for s in range(ring.size))
+    )
+
+
+def test_jacobson_radical_is_computed_once_and_quasi_regular():
+    for ring in build_catalog(16).rings:
+        rad = jacobson_radical(ring)
+        assert jacobson_radical(ring) is rad
+        assert rad.members == reference_radical_members(ring)
 
 
 def test_jacobson_radical_values():
@@ -457,3 +487,190 @@ def test_random_product_axioms(n, m):
     assert len(units(p).members) == len(units(make_zmod(n)).members) * len(
         units(make_zmod(m)).members
     )
+
+
+# ---------------------------------------------------------------------------
+# reference scans: the earlier all-pairs checks, kept to pin the
+# generating-set checks for ideals, submonoids, morphisms and generators
+
+
+def reference_is_ideal(ring, members) -> bool:
+    if ring.zero not in members:
+        return False
+    add, mul = ring.add_table, ring.mul_table
+    for a in members:
+        for b in members:
+            if add[a][b] not in members:
+                return False
+        for r in range(ring.size):
+            if mul[r][a] not in members or mul[a][r] not in members:
+                return False
+    return True
+
+
+def reference_is_submonoid(ring, members) -> bool:
+    if ring.one not in members:
+        return False
+    mul = ring.mul_table
+    return all(mul[a][b] in members for a in members for b in members)
+
+
+def reference_morphism_error(src, tgt, f):
+    """Exception type the all-pairs morphism check raises, or None."""
+    if len(f) != src.size or any(not 0 <= y < tgt.size for y in f):
+        return ValueError
+    if f[src.zero] != tgt.zero or f[src.one] != tgt.one:
+        return ValueError
+    for a in range(src.size):
+        for b in range(src.size):
+            if f[src.add_table[a][b]] != tgt.add_table[f[a]][f[b]]:
+                return ValueError
+            if f[src.mul_table[a][b]] != tgt.mul_table[f[a]][f[b]]:
+                return ValueError
+    return None
+
+
+def reference_subring_closure(ring, seed) -> frozenset:
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    known = {ring.zero, ring.one}
+    work = list(known | set(seed))
+    known |= set(seed)
+    while work:
+        a = work.pop()
+        for b in list(known):
+            for c in (add[a][b], mul[a][b], mul[b][a]):
+                if c not in known:
+                    known.add(c)
+                    work.append(c)
+        na = neg[a]
+        if na not in known:
+            known.add(na)
+            work.append(na)
+    return frozenset(known)
+
+
+def reference_generators(ring) -> tuple:
+    gens = []
+    span = reference_subring_closure(ring, ())
+    while len(span) < ring.size:
+        nxt = min(x for x in range(ring.size) if x not in span)
+        gens.append(nxt)
+        span = reference_subring_closure(ring, span | {nxt})
+    return tuple(gens)
+
+
+def toggles(ring, members):
+    """members, then members with each element in turn added or removed."""
+    yield members
+    for x in range(ring.size):
+        yield members ^ {x}
+
+
+def closure_candidates(ring, rng):
+    """Ideals, one-sided ideals, U(R)+I, generated monoids and random sets,
+    each also with one element toggled."""
+    n, add, mul = ring.size, ring.add_table, ring.mul_table
+    ideals = [i.members for i in enumerate_ideals(ring)]
+    one_sided = [frozenset(mul[r][x] for r in range(n)) for x in range(n)]
+    one_sided += [frozenset(mul[x][r] for r in range(n)) for x in range(n)]
+    msets = [frozenset(add[u][a] for u in ring.unit_indices for a in i) for i in ideals]
+    monoids = []
+    for _ in range(20):
+        gens = rng.sample(range(n), min(n, 2))
+        words = {ring.one}
+        while True:
+            more = {mul[w][g] for w in words for g in gens} - words
+            if not more:
+                break
+            words |= more
+        monoids.append(frozenset(words))
+    for members in ideals + one_sided + msets + monoids:
+        yield from toggles(ring, members)
+    for _ in range(300):
+        density = rng.random()
+        members = {x for x in range(n) if rng.random() < density}
+        if rng.random() < 0.5:
+            members |= {ring.zero, ring.one}
+        yield frozenset(members)
+
+
+def test_closure_checks_match_all_pairs_scans_on_catalog():
+    rng = random.Random(20181)
+    for ring in build_catalog(16).rings:
+        for members in closure_candidates(ring, rng):
+            assert _is_ideal(ring, members) == reference_is_ideal(ring, members), (ring, members)
+            assert _is_submonoid(ring, members) == reference_is_submonoid(ring, members), (
+                ring, members)
+
+
+def morphism_candidates(src, tgt, rng):
+    """Searched morphisms with each entry perturbed, additive maps fixing 0
+    and 1, and random maps fixing 0 and 1."""
+    n, m = src.size, tgt.size
+    for f in enumerate_morphisms(src, tgt):
+        images = list(f.images)
+        yield tuple(images)
+        for i in range(n):
+            bumped = images.copy()
+            bumped[i] = (bumped[i] + 1) % m
+            yield tuple(bumped)
+    for _ in range(10):
+        # extend random images of the additive basis; skip inconsistent ones
+        images = {src.zero: tgt.zero}
+        consistent = True
+        for b in src.additive_basis:
+            fb = rng.randrange(m)
+            for x in list(images):
+                y, fy = x, images[x]
+                while consistent:
+                    y, fy = src.add_table[y][b], tgt.add_table[fy][fb]
+                    if y in images:
+                        consistent = images[y] == fy
+                        break
+                    images[y] = fy
+        if consistent and images[src.one] == tgt.one:
+            yield tuple(images[x] for x in range(n))
+    for _ in range(10):
+        images = [rng.randrange(m) for _ in range(n)]
+        images[src.zero], images[src.one] = tgt.zero, tgt.one
+        yield tuple(images)
+
+
+def test_morphism_check_matches_all_pairs_scan_on_catalog():
+    rng = random.Random(20182)
+    rings = build_catalog(16).rings
+    for src in rings:
+        for tgt in rings:
+            for images in morphism_candidates(src, tgt, rng):
+                try:
+                    RingMorphism(src, tgt, images)
+                    raised = None
+                except Exception as e:  # the type is what is compared
+                    raised = type(e)
+                assert raised is reference_morphism_error(src, tgt, images), (src, tgt, images)
+
+
+def test_morphism_check_keeps_its_input_checks():
+    z6, z2 = make_zmod(6), make_zmod(2)
+    for images in ((0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 2), (0, 1, 0, 1, 0, -1)):
+        with pytest.raises(ValueError):
+            RingMorphism(z6, z2, images)
+
+
+def hom_ladder_rings():
+    wide = Caps(table_size=256)
+    specs = (
+        "zmod:64", "zmod:128", "gf:2:6", "gf:2:7", "product:zmod:8:zmod:16",
+        "product:zmod:4:product:zmod:4:zmod:4",
+        ":".join(["product:zmod:2"] * 6 + ["zmod:2"]),
+        "matrix:2:zmod:3", "quot:zmod:256:gens=64",
+    )
+    return [parse_ring(spec, wide) for spec in specs]
+
+
+def test_generators_match_greedy_definition():
+    for ring in list(build_catalog(16).rings) + hom_ladder_rings():
+        assert ring.generators == reference_generators(ring), ring
+        seed = (ring.size - 1,)
+        assert subring_closure(ring, seed) == reference_subring_closure(ring, seed)
+
