@@ -30,7 +30,6 @@ from .rings import (
     FiniteRing,
     Ideal,
     MultiplicativeSet,
-    RingElement,
     RingMorphism,
     check_table_axioms,
     compose,
@@ -40,7 +39,6 @@ from .rings import (
     is_completely_prime,
     is_directly_finite,
     is_field,
-    is_prime_ideal,
     is_saturated,
     jacobson_radical,
     kernel,
@@ -49,8 +47,6 @@ from .rings import (
     make_product,
     make_quotient,
     make_zmod,
-    product_injections,
-    product_projections,
     proper_ideals,
     regular_elements,
     ring_from_tables,
@@ -74,8 +70,6 @@ from .pairs import (
     TOP,
     HomPair,
     PairReport,
-    hom_pair,
-    least_pair,
     leq,
     meet,
     pair_of_morphism,
@@ -127,7 +121,6 @@ from .localization import (
     canonical_factorization,
     epimorphic_corestriction,
     factor_through,
-    localization_pair,
     localize_integer_pair,
     universal_inverting_finite,
 )

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidPair, NoFactorization, NotComposable
 from .morphisms import enumerate_morphisms, is_ring_epimorphism
-from .pairs import HomPair, pair_of_morphism, validate_pair
+from .pairs import HomPair, validate_pair
 from .rings import (
     FiniteRing,
     Ideal,
@@ -217,8 +217,3 @@ def epimorphic_corestriction(f: RingMorphism) -> Corestriction:
     epi = is_ring_epimorphism(g)
     assert epi, "a surjective morphism must be an epimorphism"
     return Corestriction(f, image_ring, carrier, g, epi)
-
-
-def localization_pair(loc: FiniteLocalization) -> HomPair:
-    """The pair realized by the canonical morphism of a finite localization."""
-    return pair_of_morphism(loc.canonical)

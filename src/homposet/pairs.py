@@ -17,7 +17,6 @@ from .errors import InvalidPair, RingMismatch
 from .rings import (
     FiniteRing,
     Ideal,
-    MultiplicativeSet,
     RingMorphism,
     _is_ideal,
     _is_submonoid,
@@ -103,13 +102,6 @@ class HomPair:
         return (len(self.ideal), sorted(self.ideal), sorted(self.mset))
 
 
-def hom_pair(ring: FiniteRing, ideal, mset) -> HomPair:
-    """Build a pair from any member collections (Ideal/MultiplicativeSet ok)."""
-    imembers = getattr(ideal, "members", ideal)
-    mmembers = getattr(mset, "members", mset)
-    return HomPair(ring, frozenset(imembers), frozenset(mmembers))
-
-
 def pair_of_morphism(f: RingMorphism) -> HomPair:
     """(ker f, f^{-1}(units of target)) as a pair over the source."""
     return HomPair(f.source, f.kernel_members, f.unit_preimage_members)
@@ -118,11 +110,6 @@ def pair_of_morphism(f: RingMorphism) -> HomPair:
 def raw_pair(f: RingMorphism) -> tuple:
     """The two member sets without pair validation, for hot loops."""
     return (f.kernel_members, f.unit_preimage_members)
-
-
-def least_pair(ring: FiniteRing) -> HomPair:
-    """(0, U(R)), the pair of any injective local morphism, e.g. the identity."""
-    return HomPair(ring, frozenset({ring.zero}), ring.unit_indices)
 
 
 def leq(p, q) -> bool:
@@ -209,10 +196,16 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
     mmembers = frozenset(getattr(mset, "members", mset))
     lab = lambda x: element_label(ring, x)
     clauses = []
+    # members outside the carrier fail the submonoid clause; the later
+    # clauses scan only the members that index an element
+    outside = mmembers - ring.index_set
+    inside = mmembers - outside
 
     ok, wit = True, None
     if ring.one not in mmembers:
         ok, wit = False, "1 is missing"
+    elif outside:
+        ok, wit = False, f"{min(outside)} is not an element index"
     elif not _is_submonoid(ring, mmembers):
         # the first product escaping M, scanned in member order
         for a in mmembers:
@@ -238,7 +231,7 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
         if inter:
             ok, wit = False, f"{lab(inter[0])} lies in both components"
         else:
-            for m in sorted(mmembers):
+            for m in sorted(inside):
                 if not ok:
                     break
                 for a in sorted(imembers):
@@ -254,7 +247,7 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
 
         quotient, proj = make_quotient(ring, Ideal(ring, imembers))
         regular = regular_elements(quotient)
-        for m in sorted(mmembers):
+        for m in sorted(inside):
             if proj.images[m] not in regular:
                 # exhibit the zero divisor downstairs
                 qm = proj.images[m]
@@ -278,17 +271,6 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
     clauses.append(ClauseResult("regular_in_quotient", ok, wit))
 
     return PairReport(ring, imembers, mmembers, tuple(clauses))
-
-
-def saturation_defect(ring: FiniteRing, pair: HomPair) -> tuple:
-    """Products in M whose factors escape M, if any (M need not be saturated)."""
-    out = []
-    mul = ring.mul_table
-    for x in range(ring.size):
-        for y in range(ring.size):
-            if mul[x][y] in pair.mset and (x not in pair.mset or y not in pair.mset):
-                out.append((x, y))
-    return tuple(out)
 
 
 def radical_translation_holds(ring: FiniteRing, pair: HomPair) -> bool:

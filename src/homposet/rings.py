@@ -6,8 +6,7 @@ freely.  Equality and hashing look only at the tables (and the designated
 zero/one), never at provenance: two constructions that produce identical
 tables are the same ring for every purpose downstream.
 
-Elements are plain ints; the RingElement wrapper adds operator sugar for
-interactive use.  All rings here have 1 != 0.  The one-element ring is
+Elements are plain ints.  All rings here have 1 != 0.  The one-element ring is
 rejected by every public constructor; only corner extraction (see
 morphisms.decompose_product_morphism) may build it, via _from_tables with
 allow_trivial=True.
@@ -15,7 +14,7 @@ allow_trivial=True.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .config import Caps, DEFAULT_CAPS
@@ -76,13 +75,13 @@ class FiniteRing:
     def sub(self, a: int, b: int) -> int:
         return self.add_table[a][self.neg_table[b]]
 
-    def element(self, index: int) -> "RingElement":
-        if not 0 <= index < self.size:
-            raise IndexError(index)
-        return RingElement(self, index)
-
     def elements(self):
         return range(self.size)
+
+    @cached_property
+    def index_set(self) -> frozenset:
+        """Every carrier index, to range-check member sets against."""
+        return frozenset(range(self.size))
 
     @cached_property
     def neg_table(self) -> tuple:
@@ -126,15 +125,19 @@ class FiniteRing:
         Together with 1 these generate the ring, so a subset is closed under
         multiplication by every element once it is closed under
         multiplication by each generator.  Each generator is the least
-        element outside the span so far, and the span grows from the
-        previous closed span, so each pair of elements is combined once.
+        element outside the span so far.  The span is the least additive
+        subgroup holding 1 and closed under right multiplication by the
+        generators, so a new generator x adds x and S*x for the old span S,
+        and then right multiples of each new basis element only.
         """
         gens = []
-        sub = _Subring(self, (self.zero, self.one))
+        mul = self.mul_table
+        sub = _Subgroup(self)
+        sub.extend(self.one)
         for x in range(self.size):
             if not sub.inside[x]:
                 gens.append(x)
-                sub.grow((x,))
+                sub.close([x] + [mul[b][x] for b in sub.basis], right=gens)
         return tuple(gens)
 
     @cached_property
@@ -191,49 +194,6 @@ class FiniteRing:
         return None
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """Operator sugar over a carrier index; mixed-ring arithmetic is rejected."""
-
-    ring: FiniteRing
-    index: int
-
-    def _peer(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise RingMismatch("elements of different rings")
-            return other.index
-        if isinstance(other, int):
-            # integer n acts as n * 1
-            r, n = self.ring, other % max(self.ring.characteristic, 1)
-            x = r.zero
-            for _ in range(n):
-                x = r.add(x, r.one)
-            return x
-        return NotImplemented
-
-    def __add__(self, other):
-        return RingElement(self.ring, self.ring.add(self.index, self._peer(other)))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        return RingElement(self.ring, self.ring.sub(self.index, self._peer(other)))
-
-    def __mul__(self, other):
-        return RingElement(self.ring, self.ring.mul(self.index, self._peer(other)))
-
-    def __rmul__(self, other):
-        return RingElement(self.ring, self.ring.mul(self._peer(other), self.index))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.index))
-
-    def __repr__(self):
-        return f"<{element_label(self.ring, self.index)} in {ring_label(self.ring)}>"
-
-
 # ---------------------------------------------------------------------------
 # member-set wrappers
 
@@ -245,9 +205,10 @@ def _is_ideal(ring: FiniteRing, members: frozenset) -> bool:
     time and must stay inside them; once every member is reached the two
     sets agree.  The r with rI and Ir inside I form a subring, and a -> x*a
     is additive, so x*b and b*x need checking only for the ring generators
-    x and the subgroup's additive basis b.
+    x and the subgroup's additive basis b.  A member outside the carrier
+    indices makes it False.
     """
-    if ring.zero not in members:
+    if ring.zero not in members or not members <= ring.index_set:
         return False
     sub = _Subgroup(ring)
     elems = sub.elems
@@ -270,10 +231,11 @@ def _is_submonoid(ring: FiniteRing, members: frozenset) -> bool:
     The monoid generated so far is grown by each member it lacks: the old
     words are multiplied by the new generator, and each new word by every
     generator, so each word meets each generator once.  Every word must lie
-    in members; once every member is reached the two sets agree.
+    in members; once every member is reached the two sets agree.  A member
+    outside the carrier indices makes it False.
     """
     one = ring.one
-    if one not in members:
+    if one not in members or not members <= ring.index_set:
         return False
     mul = ring.mul_table
     reached = bytearray(ring.size)
@@ -631,6 +593,23 @@ def _smallest_irreducible(p: int, k: int) -> tuple:
     raise AssertionError("no irreducible found")  # cannot happen
 
 
+def _digits(i: int, base: int, width: int) -> tuple:
+    """The first width digits of i in base `base`, least significant first."""
+    out = []
+    for _ in range(width):
+        i, d = divmod(i, base)
+        out.append(d)
+    return tuple(out)
+
+
+def _undigits(digits, base: int) -> int:
+    """Inverse of _digits: the index whose digits, least first, are given."""
+    v = 0
+    for d in reversed(digits):
+        v = v * base + d
+    return v
+
+
 def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Field of order p**k as Z/p[x] modulo its least monic irreducible.
 
@@ -652,24 +631,10 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 def _finite_field(p: int, k: int) -> FiniteRing:
     q = p**k
     modulus = _smallest_irreducible(p, k)
-
-    def digits(i):
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return tuple(out)
-
-    def undigits(c):
-        v = 0
-        for d in reversed(c):
-            v = v * p + d
-        return v
-
-    polys = [digits(i) for i in range(q)]
+    polys = [_digits(i, p, k) for i in range(q)]
     add = [
-        [undigits(tuple((a + b) % p for a, b in zip(polys[i], polys[j]))) for j in range(q)]
-        for i in range(q)
+        [_undigits([(a + b) % p for a, b in zip(f, g)], p) for g in polys]
+        for f in polys
     ]
     # the multiplicative group is cyclic: with exp listing the powers of a
     # primitive element and log inverting it, a*b = exp[log a + log b]
@@ -677,7 +642,7 @@ def _finite_field(p: int, k: int) -> FiniteRing:
     for g in range(1, q):
         exp = [1]
         while True:
-            nxt = undigits(_poly_mul_mod(polys[exp[-1]], polys[g], modulus, p))
+            nxt = _undigits(_poly_mul_mod(polys[exp[-1]], polys[g], modulus, p), p)
             if nxt == 1:
                 break
             exp.append(nxt)
@@ -727,28 +692,6 @@ def product_factors(ring: FiniteRing):
 
         raise NotAProduct(ring_label(ring))
     return ring.provenance[1], ring.provenance[2]
-
-
-def product_projections(ring: FiniteRing):
-    """The two unit-preserving coordinate projections of a product ring."""
-    r1, r2 = product_factors(ring)
-    n2 = r2.size
-    p1 = RingMorphism(ring, r1, tuple(i // n2 for i in range(ring.size)), check=False)
-    p2 = RingMorphism(ring, r2, tuple(i % n2 for i in range(ring.size)), check=False)
-    return p1, p2
-
-
-def product_injections(ring: FiniteRing):
-    """Coordinate injections a -> (a, 0) and b -> (0, b) as raw index maps.
-
-    These are not unit-preserving ring morphisms (they send 1 to an
-    idempotent, not to 1), hence plain tuples rather than RingMorphism.
-    """
-    r1, r2 = product_factors(ring)
-    n2 = r2.size
-    inj1 = tuple(a * n2 + r2.zero for a in range(r1.size))
-    inj2 = tuple(r1.zero * n2 + b for b in range(r2.size))
-    return inj1, inj2
 
 
 def coset_reps(ring: FiniteRing, members) -> tuple:
@@ -815,25 +758,11 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
     if size > caps.table_size:
         raise CapExceeded(f"{size} > table cap {caps.table_size}")
     nn = k * k
-
-    def digits(i):
-        out = []
-        for _ in range(nn):
-            out.append(i % q)
-            i //= q
-        return tuple(out)
-
-    def undigits(c):
-        v = 0
-        for d in reversed(c):
-            v = v * q + d
-        return v
-
-    mats = [digits(i) for i in range(size)]
+    mats = [_digits(i, q, nn) for i in range(size)]
     badd, bmul = base.add_table, base.mul_table
     add = [
-        [undigits(tuple(badd[x][y] for x, y in zip(mats[i], mats[j]))) for j in range(size)]
-        for i in range(size)
+        [_undigits([badd[x][y] for x, y in zip(A, B)], q) for B in mats]
+        for A in mats
     ]
     mul = []
     for i in range(size):
@@ -848,10 +777,10 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
                     for t in range(k):
                         acc = badd[acc][bmul[A[r * k + t]][B[t * k + c]]]
                     out.append(acc)
-            row.append(undigits(tuple(out)))
+            row.append(_undigits(out, q))
         mul.append(row)
-    zero = undigits((base.zero,) * nn)
-    one = undigits(tuple(base.one if r == c else base.zero for r in range(k) for c in range(k)))
+    zero = _undigits((base.zero,) * nn, q)
+    one = _undigits([base.one if r == c else base.zero for r in range(k) for c in range(k)], q)
     return _from_tables(add, mul, zero, one, ("matrix", k, base))
 
 
@@ -878,10 +807,16 @@ def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: 
 
 
 def subring_closure(ring: FiniteRing, seed) -> frozenset:
-    """Least subset containing seed, 0 and 1, closed under +, -, x."""
-    sub = _Subring(ring, (ring.zero, ring.one))
-    sub.grow(seed)
-    return frozenset(sub.done)
+    """Least subset containing seed, 0 and 1, closed under +, -, x.
+
+    Take S the least additive subgroup holding 1 and closed under right
+    multiplication by seed.  The t with St inside S form a subring holding
+    seed, so S = 1*S holds the subring the seed generates, and no more.
+    """
+    seed = tuple(seed)
+    sub = _Subgroup(ring)
+    sub.close((ring.one,) + seed, right=seed)
+    return frozenset(sub.elems)
 
 
 # ---------------------------------------------------------------------------
@@ -952,59 +887,23 @@ class _Subgroup:
         self.basis.append(c)
         return True
 
-    def close_ideal(self, pending) -> None:
-        """Grow to the least two-sided ideal containing H and pending.
+    def close(self, pending, left=(), right=()) -> None:
+        """Grow H to the least subgroup that also holds pending and is
+        closed under h -> x*h for x in left and h -> h*x for x in right.
 
-        Each new basis element c queues x*c and c*x for the ring generators
-        x only: the elements r with rH and Hr inside H form a subring, so
-        holding the generators and 1 it is the whole ring.
+        Multiplication by x is additive, so each new basis element c queues
+        only x*c and c*x.  With the ring generators on both sides this is
+        the least two-sided ideal: the elements r with rH and Hr inside H
+        form a subring, so holding the generators and 1 it is the whole ring.
         """
-        mul, gens = self.ring.mul_table, self.ring.generators
+        mul = self.ring.mul_table
         pending = list(pending)
         while pending:
             c = pending.pop()
             if self.extend(c):
                 row = mul[c]
-                for x in gens:
-                    pending.append(mul[x][c])
-                    pending.append(row[x])
-
-
-class _Subring:
-    """Subring of a ring, grown by closing under + and x.
-
-    done lists the members already combined with each other and inside
-    flags every member found.  Each new member is combined with itself and
-    every earlier one, in both orders for x, so each pair is combined once;
-    + closure alone gives negatives, since the ring is finite.
-    """
-
-    __slots__ = ("ring", "done", "inside")
-
-    def __init__(self, ring: FiniteRing, seed):
-        self.ring = ring
-        self.done = []
-        self.inside = bytearray(ring.size)
-        self.grow(seed)
-
-    def grow(self, seed) -> None:
-        """Grow to the least subset closed under + and x holding seed."""
-        inside, done = self.inside, self.done
-        add, mul = self.ring.add_table, self.ring.mul_table
-        work = []
-        for x in seed:
-            if not inside[x]:
-                inside[x] = 1
-                work.append(x)
-        while work:
-            a = work.pop()
-            done.append(a)
-            arow, mrow = add[a], mul[a]
-            for b in done:
-                for c in (arow[b], mrow[b], mul[b][a]):
-                    if not inside[c]:
-                        inside[c] = 1
-                        work.append(c)
+                pending.extend([mul[x][c] for x in left])
+                pending.extend([row[x] for x in right])
 
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
@@ -1013,7 +912,7 @@ def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
     if any(not 0 <= g < ring.size for g in gens):
         raise ValueError("generator index out of range")
     sub = _Subgroup(ring)
-    sub.close_ideal(gens)
+    sub.close(gens, ring.generators, ring.generators)
     return Ideal(ring, frozenset(sub.elems))
 
 
@@ -1027,10 +926,11 @@ def enumerate_ideals(ring: FiniteRing) -> tuple:
     and adds nothing.  A sum of ideals is an ideal, so it needs only the
     additive step: grow one summand by the other's additive basis.
     """
+    gens = ring.generators
     principal = {}
     for x in range(ring.size):
         sub = _Subgroup(ring)
-        sub.close_ideal((x,))
+        sub.close((x,), gens, gens)
         principal.setdefault(frozenset(sub.elems), tuple(sub.basis))
     lattice = {frozenset({ring.zero}): ()}
     for p, p_basis in sorted(principal.items(), key=lambda kv: len(kv[0])):
@@ -1090,15 +990,6 @@ def is_completely_prime(ring: FiniteRing, ideal: Ideal) -> bool:
     return True
 
 
-def is_prime_ideal(ring: FiniteRing, ideal: Ideal) -> bool:
-    """Prime ideal test for commutative rings (xy in P => x or y in P)."""
-    from .errors import NotCommutative
-
-    if not ring.is_commutative:
-        raise NotCommutative(ring_label(ring))
-    return is_completely_prime(ring, ideal)
-
-
 # ---------------------------------------------------------------------------
 # display labels
 
@@ -1132,13 +1023,8 @@ def element_label(ring: FiniteRing, index: int) -> str:
         p, k = prov[1], prov[2]
         if k == 1:
             return str(index)
-        digits = []
-        i = index
-        for _ in range(k):
-            digits.append(i % p)
-            i //= p
         terms = []
-        for d, c in enumerate(digits):
+        for d, c in enumerate(_digits(index, p, k)):
             if c == 0:
                 continue
             if d == 0:
@@ -1153,12 +1039,7 @@ def element_label(ring: FiniteRing, index: int) -> str:
         return f"({element_label(prov[1], index // n2)},{element_label(prov[2], index % n2)})"
     if tag == "matrix":
         k, base = prov[1], prov[2]
-        q = base.size
-        digits = []
-        i = index
-        for _ in range(k * k):
-            digits.append(i % q)
-            i //= q
+        digits = _digits(index, base.size, k * k)
         rows = [
             "[" + ",".join(element_label(base, digits[r * k + c]) for c in range(k)) + "]"
             for r in range(k)

@@ -10,7 +10,6 @@ from homposet.localization import (
     canonical_factorization,
     epimorphic_corestriction,
     factor_through,
-    localization_pair,
     localize_integer_pair,
     universal_inverting_finite,
 )
@@ -46,7 +45,7 @@ def test_universal_inverting_is_projection():
     assert loc.ring.size == 4
     assert loc.canonical.kernel_members == pair.ideal
     assert loc.canonical.unit_preimage_members == pair.mset
-    assert localization_pair(loc) == pair
+    assert pair_of_morphism(loc.canonical) == pair
 
 
 def test_universal_inverting_every_pair():
@@ -54,7 +53,7 @@ def test_universal_inverting_every_pair():
         ring = make_zmod(n)
         for pair in hom_poset(ring).elements:
             loc = universal_inverting_finite(ring, pair)
-            assert localization_pair(loc) == pair
+            assert pair_of_morphism(loc.canonical) == pair
             assert loc.canonical.is_surjective
 
 

@@ -6,20 +6,16 @@ from homposet.errors import InvalidPair, RingMismatch
 from homposet.pairs import (
     TOP,
     HomPair,
-    hom_pair,
-    least_pair,
     leq,
     meet,
     pair_of_morphism,
     radical_translation_holds,
     raw_pair,
-    saturation_defect,
     validate_pair,
 )
 from homposet.poset import hom_poset
 from homposet.rings import (
     enumerate_ideals,
-    ideal_generated_by,
     make_finite_field,
     make_matrix_ring,
     make_product,
@@ -38,6 +34,22 @@ def test_pair_structural_validation():
         HomPair(z6, frozenset({0}), frozenset({1, 3}))  # 3*3=3 fine, but misses unit 5
     with pytest.raises(InvalidPair):
         HomPair(z6, frozenset({0, 3}), frozenset({1, 3, 5}))  # 3 in both
+
+
+def test_pair_rejects_out_of_range_indices():
+    z6 = make_zmod(6)
+    ideal, mset = frozenset({0, 3}), frozenset({1, 2, 4, 5})
+    assert validate_pair(z6, ideal, mset).ok
+    for bad in (-3, z6.size):  # -3 would wrap onto the member 3
+        with pytest.raises(InvalidPair):
+            HomPair(z6, ideal | {bad}, mset)
+        assert not validate_pair(z6, ideal | {bad}, mset).ok
+    for bad in (-1, z6.size):  # -1 would wrap onto the member 5
+        with pytest.raises(InvalidPair):
+            HomPair(z6, ideal, mset | {bad})
+        report = validate_pair(z6, ideal, mset | {bad})
+        assert [c.key for c in report.failed()] == ["submonoid"]
+        assert report.failed()[0].witness == f"{bad} is not an element index"
 
 
 def test_validate_pair_accepts_realized():
@@ -96,7 +108,7 @@ def test_pair_of_morphism_and_raw():
 
 def test_least_pair():
     z6 = make_zmod(6)
-    p = least_pair(z6)
+    p = hom_poset(z6).least
     assert p.ideal == frozenset({0})
     assert p.mset == units(z6).members
     for q in hom_poset(z6).elements:
@@ -105,20 +117,20 @@ def test_least_pair():
 
 def test_leq_and_top():
     z6 = make_zmod(6)
-    a = least_pair(z6)
+    a = hom_poset(z6).least
     assert leq(a, TOP) and not leq(TOP, a)
     assert leq(TOP, TOP)
     z4 = make_zmod(4)
     with pytest.raises(RingMismatch):
-        leq(a, least_pair(z4))
+        leq(a, hom_poset(z4).least)
 
 
 def test_meet_with_top_and_mismatch():
     z6 = make_zmod(6)
-    a = least_pair(z6)
+    a = hom_poset(z6).least
     assert meet(a, TOP) == a and meet(TOP, a) == a
     with pytest.raises(RingMismatch):
-        meet(a, least_pair(make_zmod(4)))
+        meet(a, hom_poset(make_zmod(4)).least)
 
 
 def test_meet_of_unrealized_pairs_is_componentwise():
@@ -157,31 +169,16 @@ def test_multiplicative_set_need_not_cancel():
     assert 1 in p.mset and 3 in p.mset
 
 
-def test_saturation_defect_reports_outside_factors():
-    z6 = make_zmod(6)
-    p = hom_pair(z6, ideal_generated_by(z6, (2,)), {1, 3, 5})
-    assert saturation_defect(z6, p) == ()
-    q = least_pair(make_zmod(4))
-    # 3*3 = 1 mod 4 with 3 a unit: no defect for units either
-    assert saturation_defect(make_zmod(4), q) == ()
-
-
 def test_radical_translation():
     z4 = make_zmod(4)
-    p = least_pair(z4)  # ({0}, {1,3}); J = {0,2}; 1+0+2 = 3 stays in M
+    p = hom_poset(z4).least  # ({0}, {1,3}); J = {0,2}; 1+0+2 = 3 stays in M
     assert radical_translation_holds(z4, p)
-
-
-def test_hom_pair_accepts_wrappers():
-    z6 = make_zmod(6)
-    p = hom_pair(z6, ideal_generated_by(z6, (3,)), units(make_zmod(6)).members | {2, 4})
-    assert p.ideal == frozenset({0, 3})
 
 
 def test_pair_equality_and_hash():
     z6 = make_zmod(6)
     a = HomPair(z6, frozenset({0}), frozenset({1, 5}))
-    b = least_pair(z6)
+    b = hom_poset(z6).least
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
 
