@@ -3,9 +3,11 @@
 enumerate_morphisms is the workhorse: an exhaustive backtracking search for
 unit-preserving ring morphisms between two table rings.  Everything
 downstream that claims "all morphisms" leans on it, so it prunes hard but
-never heuristically: the search tree covers every assignment of the chosen
-generators and constraint propagation only removes provably inconsistent
-branches.
+never heuristically.  The search fixes the image of one ring generator per
+level, extends f to the subring generated so far, and keeps the level only
+if f is a morphism on that subring, decided by the same check RingMorphism
+runs.  So every assignment of generator images is covered, and a branch is
+cut only when it cannot extend to a morphism.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingMorphism,
+    _preserves,
+    _Subgroup,
     compose,
     coset_reps,
     identity_morphism,
@@ -28,77 +32,79 @@ from .rings import (
 )
 
 
-def _propagate(src: FiniteRing, tgt: FiniteRing, known: dict, fresh: list):
-    """Close a partial assignment under +, x and negation.
+@lru_cache(maxsize=None)
+def _chain(src: FiniteRing) -> tuple:
+    """The subrings 1 = S0 < S1 < ... the search fills f along, with the
+    steps that derive f on each from f on the one before.
 
-    known maps source indices to target indices; fresh lists source indices
-    whose consequences are unprocessed.  Returns the extended dict or None
-    on contradiction.  Both argument orders are generated, so the closure
-    is complete over the subring generated by the assigned elements.
+    Level 0 spans 1, and level k adjoins x = src.generators[k-1]: it extends
+    x, then b*x for each old basis element b, then c*g for each new basis
+    element c and each generator g so far: the products
+    FiniteRing.generators closes under, taken first in first out.  Its span is the least additive subgroup holding 1 and closed
+    under right multiplication by the generators so far, which is the
+    subring they generate (see rings.subring_closure).
+
+    Each level is (x, steps, span, gens, basis).  A step (a, b, s, e) says
+    that the basis element c = elems[s] is x when a is None and a*b
+    otherwise, and that extending by c appended elems[s:e] in blocks of s:
+    block j is j*c + elems[:s].  gens lists the generators so far, newest
+    first.  _Subgroup.close would reach the same spans, but recording how
+    each element arose serves only this search and would make the ideal
+    core's hot loop branch on its caller, so the walk lives here.  It is
+    cached per source ring, which _morphisms_cached already keeps alive.
     """
-    sadd, smul, sneg = src.add_table, src.mul_table, src.neg_table
-    tadd, tmul, tneg = tgt.add_table, tgt.mul_table, tgt.neg_table
-    sorders, torders = src.additive_orders, tgt.additive_orders
-    while fresh:
-        a = fresh.pop()
-        fa = known[a]
-        na, fna = sneg[a], tneg[fa]
-        prior = known.get(na)
-        if prior is None:
-            known[na] = fna
-            fresh.append(na)
-        elif prior != fna:
-            return None
-        for b, fb in list(known.items()):
-            for s, t in (
-                (sadd[a][b], tadd[fa][fb]),
-                (smul[a][b], tmul[fa][fb]),
-                (smul[b][a], tmul[fb][fa]),
-            ):
-                prior = known.get(s)
-                if prior is None:
-                    if torders[t] != 1 and sorders[s] % torders[t] != 0:
-                        return None
-                    known[s] = t
-                    fresh.append(s)
-                elif prior != t:
-                    return None
-    return known
+    mul = src.mul_table
+    sub = _Subgroup(src)
+    elems, gens, levels = sub.elems, [], []
+    for x in (src.one,) + src.generators:
+        pending = [(x, None, None)] + [(mul[b][x], b, x) for b in sub.basis]
+        if x != src.one:
+            gens.insert(0, x)
+        steps = []
+        for c, a, b in pending:
+            s = len(elems)
+            if sub.extend(c):
+                steps.append((a, b, s, len(elems)))
+                pending.extend((mul[c][g], c, g) for g in gens)
+        levels.append((x, tuple(steps), tuple(elems), tuple(gens), tuple(sub.basis)))
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)
 def _morphisms_cached(src: FiniteRing, tgt: FiniteRing) -> tuple:
-    # char(tgt) must divide char(src) or 1 has no consistent image
-    if src.characteristic % tgt.characteristic != 0:
-        return ()
-    base = _propagate(src, tgt, {src.zero: tgt.zero, src.one: tgt.one},
-                      [src.zero, src.one])
-    if base is None:
-        return ()
-    gens = src.generators
+    chain = _chain(src)
+    elems = chain[-1][2]
+    tadd, tmul = tgt.add_table, tgt.mul_table
     sorders, torders = src.additive_orders, tgt.additive_orders
+    f = [None] * src.size
+    f[src.zero] = tgt.zero
     found = []
 
-    def assign(level: int, known: dict):
-        if level == len(gens):
-            images = tuple(known[i] for i in range(src.size))
-            found.append(RingMorphism(src, tgt, images))
-            return
-        g = gens[level]
-        prior = known.get(g)
-        if prior is not None:
-            assign(level + 1, known)
-            return
-        for y in range(tgt.size):
-            if sorders[g] % torders[y] != 0:
+    def search(level: int):
+        x, steps, span, gens, basis = chain[level]
+        if level == 0:
+            candidates = (tgt.one,)
+        else:
+            candidates = [y for y in range(tgt.size) if sorders[x] % torders[y] == 0]
+        for y in candidates:
+            for a, b, s, e in steps:
+                fc = y if a is None else tmul[f[a]][f[b]]
+                ft = fc
+                for base in range(s, e, s):
+                    row = tadd[ft]
+                    for i in range(s):
+                        f[elems[base + i]] = row[f[elems[i]]]
+                    ft = row[fc]
+            if _preserves(src, tgt, f, span, basis, gens) is not None:
                 continue
-            trial = dict(known)
-            trial[g] = y
-            if _propagate(src, tgt, trial, [g]) is not None:
-                assign(level + 1, trial)
+            if level + 1 < len(chain):
+                search(level + 1)
+            else:
+                # the last span is the whole ring, so f was just checked there
+                found.append(RingMorphism(src, tgt, f, check=False))
 
-    assign(0, base)
-    found.sort(key=lambda f: f.images)
+    search(0)
+    found.sort(key=lambda g: g.images)
     return tuple(found)
 
 
@@ -136,7 +142,7 @@ def epi_obstruction_invariants(f: RingMorphism) -> tuple:
 
     s_gens, s_expr, s_rels = group_presentation(tgt.size, tgt.add, tgt.zero)
     c_gens, c_expr, c_rels = group_presentation(len(creps), c_add, c_index[rep_of[tgt.zero]])
-    r_gens, _, _ = group_presentation(src.size, src.add, src.zero)
+    r_gens = src.additive_basis
 
     ns, nc = len(s_gens), len(c_gens)
     ncols = ns * nc

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from .errors import InvalidPair, RingMismatch
 from .rings import (
     FiniteRing,
-    Ideal,
     RingMorphism,
     _is_ideal,
     _is_submonoid,
     element_label,
     jacobson_radical,
-    regular_elements,
     ring_label,
 )
 
@@ -242,32 +240,22 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
     clauses.append(ClauseResult("translation_stable", ok, wit))
 
     ok, wit = True, None
-    if _is_ideal(ring, imembers) and ring.one not in imembers:
-        from .rings import make_quotient
-
-        quotient, proj = make_quotient(ring, Ideal(ring, imembers))
-        regular = regular_elements(quotient)
-        for m in sorted(inside):
-            if proj.images[m] not in regular:
-                # exhibit the zero divisor downstairs
-                qm = proj.images[m]
-                for x in range(quotient.size):
-                    if x != quotient.zero and (
-                        quotient.mul_table[qm][x] == quotient.zero
-                        or quotient.mul_table[x][qm] == quotient.zero
-                    ):
-                        # lift x to a ring element for the message
-                        lift = next(
-                            r for r in range(ring.size) if proj.images[r] == x
-                        )
-                        ok, wit = False, (
-                            f"{lab(m)} is a zero divisor mod the ideal "
-                            f"(against {lab(lift)})"
-                        )
-                        break
-                break
-    elif ring.one in imembers:
+    if ring.one in imembers:
         ok, wit = False, "ideal is improper"
+    elif _is_ideal(ring, imembers):
+        # m is a zero divisor mod I when m*x or x*m lies in I for some x
+        # outside I; the condition holds for a whole coset x + I, so the
+        # least such x is the least element of its coset
+        mul = ring.mul_table
+        for m in sorted(inside):
+            row = mul[m]
+            against = next((x for x in range(ring.size) if x not in imembers
+                            and (row[x] in imembers or mul[x][m] in imembers)), None)
+            if against is not None:
+                ok, wit = False, (
+                    f"{lab(m)} is a zero divisor mod the ideal (against {lab(against)})"
+                )
+                break
     clauses.append(ClauseResult("regular_in_quotient", ok, wit))
 
     return PairReport(ring, imembers, mmembers, tuple(clauses))

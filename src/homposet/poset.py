@@ -285,8 +285,7 @@ class MaximalityReport:
         return dv <= cp <= mx
 
 
-def maximality_chain(ring: FiniteRing, field_bound: int | None = None,
-                     caps: Caps = DEFAULT_CAPS) -> MaximalityReport:
+def maximality_chain(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> MaximalityReport:
     """Division pairs, completely prime pairs, and maximal pairs, in one scan.
 
     Division pairs come from morphisms into finite fields (finite division
@@ -294,7 +293,7 @@ def maximality_chain(ring: FiniteRing, field_bound: int | None = None,
     field, so scanning field orders up to the ring size is complete.  The
     chain division <= completely prime <= maximal is asserted.
     """
-    limit = min(field_bound or ring.size, caps.morphism_search, caps.table_size)
+    limit = min(ring.size, caps.morphism_search, caps.table_size)
     division = set()
     orders = []
     for q in range(2, limit + 1):

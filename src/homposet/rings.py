@@ -66,17 +66,8 @@ class FiniteRing:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
     def sub(self, a: int, b: int) -> int:
         return self.add_table[a][self.neg_table[b]]
-
-    def elements(self):
-        return range(self.size)
 
     @cached_property
     def index_set(self) -> frozenset:
@@ -152,26 +143,17 @@ class FiniteRing:
     def jacobson_radical(self) -> "Ideal":
         """Largest ideal of quasi-regular elements.
 
-        x belongs iff 1 + r*x*s is a unit for every r, s; the resulting set
-        is verified to be an ideal by the Ideal constructor.
+        x belongs iff 1 + r*x is a unit for every r (Lam, A First Course in
+        Noncommutative Rings, Lemma 4.1, with the one-sided inverse it asks
+        for two-sided because the ring is finite); the resulting set is
+        verified to be an ideal by the Ideal constructor.
         """
-        n = self.size
-        mul, add = self.mul_table, self.add_table
-        one = self.one
-        is_unit = [i in self.unit_indices for i in range(n)]
-        members = []
-        for x in range(n):
-            ok = True
-            for r in range(n):
-                rx = mul[r][x]
-                for s in range(n):
-                    if not is_unit[add[one][mul[rx][s]]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                members.append(x)
+        mul, one_row = self.mul_table, self.add_table[self.one]
+        units = self.unit_indices
+        members = [
+            x for x in range(self.size)
+            if all(one_row[row[x]] in units for row in mul)
+        ]
         return Ideal(self, frozenset(members))
 
     @cached_property
@@ -182,16 +164,6 @@ class FiniteRing:
             for a in range(self.size)
             for b in range(a + 1, self.size)
         )
-
-    def inverse(self, a: int):
-        """Two-sided inverse index of a, or None."""
-        one = self.one
-        mul = self.mul_table
-        row = mul[a]
-        for b in range(self.size):
-            if row[b] == one and mul[b][a] == one:
-                return b
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +284,32 @@ class MultiplicativeSet:
 # morphisms (data type; enumeration and heavier machinery live in morphisms.py)
 
 
+def _preserves(src: FiniteRing, tgt: FiniteRing, f, elems, basis, gens):
+    """The first failure of f to preserve x or + on a subring, or None.
+
+    elems lists the subring, basis is an additive basis of it, and gens
+    together with 1 generate it as a ring; f must be defined on elems and
+    send 1 to 1.  Once f is additive on the subring, the b with
+    f(a*b) = f(a)*f(b) for every a form a subring; and the b with
+    f(a+b) = f(a)+f(b) for every a form a subgroup.  So checking x against
+    gens and + against basis decides whether f is a morphism there.
+    Multiplication is checked first: it refutes a wrong map sooner.
+    """
+    smul, tmul = src.mul_table, tgt.mul_table
+    for b in gens:
+        fb = f[b]
+        for a in elems:
+            if f[smul[a][b]] != tmul[f[a]][fb]:
+                return f"multiplication not preserved at ({a},{b})"
+    sadd, tadd = src.add_table, tgt.add_table
+    for b in basis:
+        fb = f[b]
+        for a in elems:
+            if f[sadd[a][b]] != tadd[f[a]][fb]:
+                return f"addition not preserved at ({a},{b})"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class RingMorphism:
     """Unit-preserving ring morphism stored as an image tuple.
@@ -342,21 +340,10 @@ class RingMorphism:
             raise ValueError("image index out of range")
         if f[src.zero] != tgt.zero or f[src.one] != tgt.one:
             raise ValueError("morphism must preserve 0 and 1")
-        # The b with f(a+b) = f(a)+f(b) for every a form a subgroup, and once
-        # f is additive, the b with f(a*b) = f(a)*f(b) for every a form a
-        # subring; so an additive basis and the ring generators suffice.
-        sadd, smul = src.add_table, src.mul_table
-        tadd, tmul = tgt.add_table, tgt.mul_table
-        for b in src.additive_basis:
-            fb = f[b]
-            for a in range(src.size):
-                if f[sadd[a][b]] != tadd[f[a]][fb]:
-                    raise ValueError(f"addition not preserved at ({a},{b})")
-        for b in src.generators:
-            fb = f[b]
-            for a in range(src.size):
-                if f[smul[a][b]] != tmul[f[a]][fb]:
-                    raise ValueError(f"multiplication not preserved at ({a},{b})")
+        problem = _preserves(src, tgt, f, range(src.size), src.additive_basis,
+                             src.generators)
+        if problem:
+            raise ValueError(problem)
 
     def __call__(self, index: int) -> int:
         return self.images[index]
@@ -443,13 +430,12 @@ def _from_tables(add, mul, zero, one, provenance, allow_trivial=False) -> Finite
     return FiniteRing(size, _freeze(add), _freeze(mul), zero, one, provenance)
 
 
-def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS, validate: bool = True) -> FiniteRing:
+def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Build a ring from raw tables, deriving zero and one.
 
-    Axioms are checked exhaustively unless validate=False; raw inputs are the
-    one place where tables are untrusted.  The ideal, submonoid and morphism
-    checks rely on the axioms, so with validate=False they are only as
-    sound as the tables.
+    Axioms are checked exhaustively: raw inputs are the one place where
+    tables are untrusted, and the ideal, submonoid and morphism checks
+    rely on the axioms.
     """
     size = len(add)
     if size > caps.table_size:
@@ -460,10 +446,9 @@ def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS, validate: bool = True)
     if zero is None or one is None:
         raise ValueError("tables have no additive or multiplicative identity")
     ring = _from_tables(add_t, mul_t, zero, one, ("raw",))
-    if validate:
-        problems = check_table_axioms(ring)
-        if problems:
-            raise ValueError("; ".join(problems[:3]))
+    problems = check_table_axioms(ring)
+    if problems:
+        raise ValueError("; ".join(problems[:3]))
     return ring
 
 
@@ -789,16 +774,22 @@ def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: 
 
     Returns (ring, carrier) where carrier[i] is the parent index of local
     element i.  one defaults to the parent identity; corner rings pass their
-    idempotent instead.
+    idempotent instead.  Raises ValueError for a member outside the parent's
+    indices or a set not closed under + and x.
     """
     carrier = tuple(sorted(set(members)))
+    if not parent.index_set.issuperset(carrier):
+        raise ValueError("subring member out of range")
     local = {x: i for i, x in enumerate(carrier)}
     if one is None:
         one = parent.one
     if parent.zero not in local or one not in local:
         raise ValueError("subring must contain its zero and identity")
-    add = [[local[parent.add_table[a][b]] for b in carrier] for a in carrier]
-    mul = [[local[parent.mul_table[a][b]] for b in carrier] for a in carrier]
+    try:
+        add = [[local[parent.add_table[a][b]] for b in carrier] for a in carrier]
+        mul = [[local[parent.mul_table[a][b]] for b in carrier] for a in carrier]
+    except KeyError:
+        raise ValueError("subring is not closed under + and x") from None
     ring = _from_tables(
         add, mul, local[parent.zero], local[one],
         ("subring", parent, carrier), allow_trivial=allow_trivial,
@@ -814,6 +805,8 @@ def subring_closure(ring: FiniteRing, seed) -> frozenset:
     seed, so S = 1*S holds the subring the seed generates, and no more.
     """
     seed = tuple(seed)
+    if any(not 0 <= g < ring.size for g in seed):
+        raise ValueError("generator index out of range")
     sub = _Subgroup(ring)
     sub.close((ring.one,) + seed, right=seed)
     return frozenset(sub.elems)

@@ -1,5 +1,6 @@
 """Morphism search, epimorphism obstruction, corners, denominators."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from homposet.config import Caps
 from homposet.errors import CapExceeded, NotAProduct, NotComposable
 from homposet.morphisms import (
+    _chain,
     decompose_product_morphism,
     denominator_analysis,
     direct_limit_chain,
@@ -15,6 +17,7 @@ from homposet.morphisms import (
     is_ring_epimorphism,
     rebuild_product_morphism,
 )
+from homposet.oracle import build_catalog
 from homposet.rings import (
     RingMorphism,
     compose,
@@ -25,6 +28,7 @@ from homposet.rings import (
     make_product,
     make_quotient,
     make_zmod,
+    ring_from_tables,
     units,
 )
 
@@ -53,6 +57,117 @@ def brute_force_morphisms(src, tgt):
         if ok:
             found.append(tuple(images))
     return sorted(found)
+
+
+def reference_propagate(src, tgt, known, fresh):
+    """Close a partial assignment under +, x and negation, or None on a
+    contradiction: the earlier search's consistency engine."""
+    sadd, smul, sneg = src.add_table, src.mul_table, src.neg_table
+    tadd, tmul, tneg = tgt.add_table, tgt.mul_table, tgt.neg_table
+    sorders, torders = src.additive_orders, tgt.additive_orders
+    while fresh:
+        a = fresh.pop()
+        fa = known[a]
+        na, fna = sneg[a], tneg[fa]
+        prior = known.get(na)
+        if prior is None:
+            known[na] = fna
+            fresh.append(na)
+        elif prior != fna:
+            return None
+        for b, fb in list(known.items()):
+            for s, t in (
+                (sadd[a][b], tadd[fa][fb]),
+                (smul[a][b], tmul[fa][fb]),
+                (smul[b][a], tmul[fb][fa]),
+            ):
+                prior = known.get(s)
+                if prior is None:
+                    if torders[t] != 1 and sorders[s] % torders[t] != 0:
+                        return None
+                    known[s] = t
+                    fresh.append(s)
+                elif prior != t:
+                    return None
+    return known
+
+
+def reference_search(src, tgt):
+    """The earlier search, kept as the reference: assign each generator in
+    turn and propagate the assignment through a dict; sorted image tuples."""
+    if src.characteristic % tgt.characteristic != 0:
+        return []
+    base = reference_propagate(src, tgt, {src.zero: tgt.zero, src.one: tgt.one},
+                               [src.zero, src.one])
+    if base is None:
+        return []
+    gens = src.generators
+    sorders, torders = src.additive_orders, tgt.additive_orders
+    found = []
+
+    def assign(level, known):
+        if level == len(gens):
+            found.append(tuple(known[i] for i in range(src.size)))
+            return
+        g = gens[level]
+        if g in known:
+            assign(level + 1, known)
+            return
+        for y in range(tgt.size):
+            if sorders[g] % torders[y] != 0:
+                continue
+            trial = dict(known)
+            trial[g] = y
+            if reference_propagate(src, tgt, trial, [g]) is not None:
+                assign(level + 1, trial)
+
+    assign(0, base)
+    return sorted(found)
+
+
+def relabelled_m2(seed):
+    """M2(Z/2) on a seeded permutation of its carrier, from raw tables."""
+    m2 = make_matrix_ring(make_zmod(2), 2)
+    perm = list(range(m2.size))
+    random.Random(seed).shuffle(perm)
+    add = [[0] * m2.size for _ in range(m2.size)]
+    mul = [[0] * m2.size for _ in range(m2.size)]
+    for a in range(m2.size):
+        for b in range(m2.size):
+            add[perm[a]][perm[b]] = perm[m2.add_table[a][b]]
+            mul[perm[a]][perm[b]] = perm[m2.mul_table[a][b]]
+    return ring_from_tables(add, mul)
+
+
+def has_noncommuting_step(ring):
+    """Whether the search derives some f(a*b) with a*b != b*a."""
+    mul = ring.mul_table
+    return any(
+        a is not None and mul[a][b] != mul[b][a]
+        for _, steps, _, _, _ in _chain(ring)
+        for a, b, _, _ in steps
+    )
+
+
+def test_search_matches_reference_on_relabelled_matrix_rings():
+    m2 = make_matrix_ring(make_zmod(2), 2)
+    relabelled = [relabelled_m2(seed) for seed in range(20)]
+    # a search that evaluates f(b)*f(a) for f(a*b) passes on every ring
+    # without such a step, so the seeds must include some
+    assert sum(has_noncommuting_step(p) for p in relabelled) >= 5
+    for p in relabelled:
+        for src, tgt in ((p, m2), (m2, p), (p, p)):
+            ours = [f.images for f in enumerate_morphisms(src, tgt)]
+            assert ours == reference_search(src, tgt), (src, tgt)
+            assert len(ours) == 6  # the inner automorphisms of M2(Z/2)
+
+
+def test_search_matches_reference_on_catalog():
+    rings = build_catalog(16).rings
+    for src in rings:
+        for tgt in rings:
+            ours = [f.images for f in enumerate_morphisms(src, tgt)]
+            assert ours == reference_search(src, tgt), (src, tgt)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 """Pair construction, the membership criterion, order and meet laws."""
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,14 +15,19 @@ from homposet.pairs import (
     raw_pair,
     validate_pair,
 )
+from homposet.oracle import build_catalog
 from homposet.poset import hom_poset
 from homposet.rings import (
+    Ideal,
+    _is_ideal,
+    element_label,
     enumerate_ideals,
     make_finite_field,
     make_matrix_ring,
     make_product,
     make_quotient,
     make_zmod,
+    regular_elements,
     units,
 )
 
@@ -220,3 +227,49 @@ def test_validate_pair_product_ring():
     assert report.ok
     report2 = validate_pair(p, {0, 1, 2}, {4, 5})
     assert not report2.ok  # misses 3, which is 1 mod the ideal
+
+
+def reference_regularity_clause(ring, imembers, mmembers):
+    """(ok, witness) of the regular_in_quotient clause, decided the earlier
+    way: build R/I and test each member's class for regularity there."""
+    lab = lambda x: element_label(ring, x)
+    if ring.one in imembers:
+        return False, "ideal is improper"
+    if not _is_ideal(ring, imembers):
+        return True, None
+    quotient, proj = make_quotient(ring, Ideal(ring, imembers))
+    regular = regular_elements(quotient)
+    for m in sorted(mmembers & ring.index_set):
+        qm = proj.images[m]
+        if qm in regular:
+            continue
+        for x in range(quotient.size):
+            if x != quotient.zero and (
+                quotient.mul_table[qm][x] == quotient.zero
+                or quotient.mul_table[x][qm] == quotient.zero
+            ):
+                lift = next(r for r in range(ring.size) if proj.images[r] == x)
+                return False, f"{lab(m)} is a zero divisor mod the ideal (against {lab(lift)})"
+    return True, None
+
+
+def test_regularity_clause_matches_quotient_reference():
+    rng = random.Random(20184)
+    rings = list(build_catalog(16).rings) + [make_matrix_ring(make_zmod(2), 2)]
+    witnessed = 0
+    for ring in rings:
+        ideals = [i.members for i in enumerate_ideals(ring)]
+        for _ in range(40):
+            imembers = rng.choice(ideals)
+            if rng.random() < 0.2:
+                imembers = imembers ^ {rng.randrange(ring.size)}
+            density = rng.random()
+            mmembers = frozenset(x for x in range(ring.size) if rng.random() < density)
+            if rng.random() < 0.5:
+                mmembers |= ring.unit_indices
+            clause = validate_pair(ring, imembers, mmembers).clauses[3]
+            assert clause.key == "regular_in_quotient"
+            expected = reference_regularity_clause(ring, imembers, mmembers)
+            assert (clause.ok, clause.witness) == expected, (ring, imembers, mmembers)
+            witnessed += "zero divisor" in (clause.witness or "")
+    assert witnessed >= 100

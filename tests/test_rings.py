@@ -198,7 +198,17 @@ def reference_radical_members(ring) -> frozenset:
 
 
 def test_jacobson_radical_is_computed_once_and_quasi_regular():
-    for ring in build_catalog(16).rings:
+    rings = list(build_catalog(16).rings)
+    # seeded proper subrings of M2(Z/3), among them noncommutative ones
+    # with a nonzero radical (upper triangular matrices)
+    m2 = parse_ring("matrix:2:zmod:3", Caps(table_size=256))
+    rng = random.Random(20185)
+    for _ in range(40):
+        members = subring_closure(m2, rng.sample(range(m2.size), rng.randint(1, 2)))
+        if len(members) < m2.size:
+            rings.append(subring(m2, members)[0])
+    assert any(not r.is_commutative and len(jacobson_radical(r)) > 1 for r in rings)
+    for ring in rings:
         rad = jacobson_radical(ring)
         assert jacobson_radical(ring) is rad
         assert rad.members == reference_radical_members(ring)
@@ -306,6 +316,23 @@ def test_subring_closure_and_materialization():
     sub, carrier = subring(f4, {0, 1})
     assert sub.size == 2 and carrier == (0, 1)
     assert sub == make_zmod(2)
+
+
+def test_subrings_reject_out_of_range_and_unclosed_members():
+    z6 = make_zmod(6)
+    for bad in (7, 6, -1):  # -1 would wrap onto 5
+        with pytest.raises(ValueError, match="generator index out of range"):
+            subring_closure(z6, (bad,))
+    for members in ({0, 1, -1}, {0, 1, 6}):
+        with pytest.raises(ValueError, match="out of range"):
+            subring(z6, members)
+    with pytest.raises(ValueError, match="not closed"):
+        subring(z6, {0, 1, 5})  # 1+1 escapes
+    # in M2(Z/2), index a00 + 2*a01 + 4*a10 + 8*a11: the span of 1, E12 and
+    # E21 is closed under + but not x, since E12*E21 = E11
+    m2 = make_matrix_ring(make_zmod(2), 2)
+    with pytest.raises(ValueError, match="not closed"):
+        subring(m2, {0, 9, 2, 4, 11, 13, 6, 15})
 
 
 def test_regenerate_round_trips():
