@@ -71,14 +71,6 @@ class RationalSubring:
         q = Fraction(q)
         return all(p not in self.avoided for p in prime_divisors(q.denominator))
 
-    def is_unit(self, q: Fraction) -> bool:
-        q = Fraction(q)
-        if q == 0:
-            return False
-        return self.contains(q) and all(
-            p not in self.avoided for p in prime_divisors(q.numerator)
-        )
-
     def label(self) -> str:
         ps = self.avoided
         if ps.cofinite:

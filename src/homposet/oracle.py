@@ -755,6 +755,17 @@ def verify_theorems(catalog: Catalog, only: str | None = None,
     for key, title, fn in CLAIMS:
         if only is not None and only not in key:
             continue
-        checked, witness = fn(ctx)
+        try:
+            checked, witness = fn(ctx)
+        except CapExceeded:
+            raise
+        except Exception as e:
+            # a claim that crashes has failed; the exception is its witness,
+            # named with the function that raised it, and the rest still run
+            tb = e.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            where = tb.tb_frame.f_code.co_name
+            checked, witness = 0, f"{type(e).__name__} in {where}: {e}"
         results.append(ClaimResult(key, title, witness is None, checked, witness))
     return OracleReport(catalog.bound, len(catalog.rings), False, tuple(results))

@@ -46,11 +46,13 @@ TOP = _Top()
 class HomPair:
     """A pair (ideal, multiplicative set) over a ring, stored as frozensets.
 
-    Construction checks the cheap structural facts: the first component is
-    a two-sided ideal, the second a multiplicative submonoid containing all
-    units and disjoint from the first.  Whether the pair is realized by an
-    actual morphism is a separate question (see poset.hom_poset and
-    validate_pair for the full criterion).
+    The public constructor checks the cheap structural facts: the first
+    component is a two-sided ideal, the second a multiplicative submonoid
+    containing all units and disjoint from the first.  Whether the pair is
+    realized by an actual morphism is a separate question (see
+    poset.hom_poset and validate_pair for the full criterion).  Pairs that a
+    theorem already guarantees, such as those hom_poset, meet and
+    pair_of_morphism build, come from _trusted and skip the checks.
     """
 
     ring: FiniteRing
@@ -71,6 +73,16 @@ class HomPair:
             raise InvalidPair("second component must contain every unit")
         if self.ideal & self.mset:
             raise InvalidPair("components must be disjoint")
+
+    @classmethod
+    def _trusted(cls, ring, ideal, mset):
+        """A pair whose structural facts a theorem guarantees, built
+        without __post_init__'s checks."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "ring", ring)
+        object.__setattr__(pair, "ideal", frozenset(ideal))
+        object.__setattr__(pair, "mset", frozenset(mset))
+        return pair
 
     def __eq__(self, other):
         if self is other:
@@ -102,7 +114,9 @@ class HomPair:
 
 def pair_of_morphism(f: RingMorphism) -> HomPair:
     """(ker f, f^{-1}(units of target)) as a pair over the source."""
-    return HomPair(f.source, f.kernel_members, f.unit_preimage_members)
+    # a kernel is an ideal, and the unit preimage a submonoid holding every
+    # unit; they are disjoint because 1 != 0 in the target
+    return HomPair._trusted(f.source, f.kernel_members, f.unit_preimage_members)
 
 
 def raw_pair(f: RingMorphism) -> tuple:
@@ -138,7 +152,9 @@ def meet(p, q):
         return p
     if q.ideal <= p.ideal and q.mset <= p.mset:
         return q
-    return HomPair(p.ring, p.ideal & q.ideal, p.mset & q.mset)
+    # intersections of ideals, and of submonoids holding every unit, are
+    # again such; disjointness carries over from either input
+    return HomPair._trusted(p.ring, p.ideal & q.ideal, p.mset & q.mset)
 
 
 # ---------------------------------------------------------------------------

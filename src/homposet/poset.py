@@ -83,8 +83,9 @@ class HomPoset:
 def _hom_poset_cached(ring: FiniteRing, adjoin_top: bool) -> HomPoset:
     if adjoin_top:
         return HomPoset(ring, _hom_poset_cached(ring, False).elements, True)
+    # (I, U(R)+I) is the pair of R -> R/I, so no pair needs checking
     pairs = [
-        HomPair(ring, ideal.members, _units_plus(ring, ideal.members))
+        HomPair._trusted(ring, ideal.members, _units_plus(ring, ideal.members))
         for ideal in proper_ideals(ring)
     ]
     pairs.sort(key=lambda p: p.sort_key())
@@ -151,7 +152,7 @@ def least_of_fiber(ring: FiniteRing, ideal) -> HomPair:
     imembers = frozenset(getattr(ideal, "members", ideal))
     if not Ideal(ring, imembers).is_proper:
         raise ImproperIdeal("the whole ring carries no pair")
-    return HomPair(ring, imembers, _units_plus(ring, imembers))
+    return HomPair._trusted(ring, imembers, _units_plus(ring, imembers))
 
 
 def _units_plus(ring: FiniteRing, imembers: frozenset) -> frozenset:
@@ -189,7 +190,7 @@ def hom_functor(f: RingMorphism) -> PosetMap:
 
     The preimage pair is realized over the source by the composite of f
     with any morphism realizing the target pair, so the map lands in
-    hom_poset(source) with no search.
+    hom_poset(source) with no search and no check.
     """
     dom = hom_poset(f.target)
     cod = hom_poset(f.source)
@@ -197,7 +198,7 @@ def hom_functor(f: RingMorphism) -> PosetMap:
     for p in dom.elements:
         pre_ideal = frozenset(i for i, y in enumerate(f.images) if y in p.ideal)
         pre_mset = frozenset(i for i, y in enumerate(f.images) if y in p.mset)
-        pulled = HomPair(f.source, pre_ideal, pre_mset)
+        pulled = HomPair._trusted(f.source, pre_ideal, pre_mset)
         images.append(cod.index[pulled])
     return PosetMap(f, dom, cod, tuple(images))
 

@@ -236,6 +236,13 @@ def _is_submonoid(ring: FiniteRing, members: frozenset) -> bool:
 
 @dataclass(frozen=True)
 class Ideal:
+    """A two-sided ideal, stored as a frozenset of member indices.
+
+    The public constructor checks the members with _is_ideal and raises
+    NotAnIdeal.  Ideals that a closure already guarantees, such as every
+    member of enumerate_ideals, come from _trusted and skip the check.
+    """
+
     ring: FiniteRing
     members: frozenset
 
@@ -244,6 +251,14 @@ class Ideal:
             object.__setattr__(self, "members", frozenset(self.members))
         if not _is_ideal(self.ring, self.members):
             raise NotAnIdeal(sorted(self.members))
+
+    @classmethod
+    def _trusted(cls, ring, members):
+        """An ideal a closure guarantees, built without the check."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ring", ring)
+        object.__setattr__(ideal, "members", frozenset(members))
+        return ideal
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -433,9 +448,9 @@ def _from_tables(add, mul, zero, one, provenance, allow_trivial=False) -> Finite
 def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Build a ring from raw tables, deriving zero and one.
 
-    Axioms are checked exhaustively: raw inputs are the one place where
-    tables are untrusted, and the ideal, submonoid and morphism checks
-    rely on the axioms.
+    Axioms are decided exactly by check_table_axioms: raw inputs are the
+    one place where tables are untrusted, and the ideal, submonoid and
+    morphism checks rely on the axioms.
     """
     size = len(add)
     if size > caps.table_size:
@@ -460,44 +475,109 @@ def _find_identity(table, size):
 
 
 def check_table_axioms(ring: FiniteRing) -> list:
-    """Exhaustive ring-axiom scan; returns human-readable violations."""
-    n, add, mul = ring.size, ring.add_table, ring.mul_table
-    zero, one = ring.zero, ring.one
+    """Decide the ring axioms on the tables; returns human-readable violations.
+
+    Exact but not exhaustive.  After the O(n^2) range, identity, inverse and
+    commutativity scans, each law in three variables is checked only for c
+    in a generating set, by Light's test (Clifford and Preston, The
+    Algebraic Theory of Semigroups, section 1.2): the c with
+    (x.y).c = x.(y.c) for every x, y are closed under the operation.  So
+      - (x+y)+c = x+(y+c) is checked for c in an additive generating set A;
+      - given that, the c for which either distributive law holds for every
+        x, y are closed under +, so both laws are checked for c in A;
+      - given those, the c with (xy)c = x(yc) are closed under + and x, so
+        that law is checked for c in a set G generating the ring under both.
+    A and G are read off the tables alone (_table_generators), so no step
+    leans on a law it has not checked yet.  An empty list means every axiom
+    holds; otherwise each entry names a violation and its elements.
+    """
+    n, zero, one = ring.size, ring.zero, ring.one
+    # the axioms concern the n x n tables; every entry must name an element
+    add = [tuple(row[:n]) for row in ring.add_table[:n]]
+    mul = [tuple(row[:n]) for row in ring.mul_table[:n]]
+    for name, table in (("addition", add), ("multiplication", mul)):
+        for a, row in enumerate(table):
+            if min(row) < 0 or max(row) >= n:
+                b = next(b for b, v in enumerate(row) if not 0 <= v < n)
+                return [f"{name} table entry at ({a},{b}) is out of range"]
+    add_cols, mul_cols = list(zip(*add)), list(zip(*mul))
+    elems = tuple(range(n))
     bad = []
-    if any(add[zero][b] != b for b in range(n)):
+    if add[zero] != elems:
         bad.append("0 is not an additive identity")
-    if any(mul[one][b] != b or mul[b][one] != b for b in range(n)):
+    if mul[one] != elems or mul_cols[one] != elems:
         bad.append("1 is not a multiplicative identity")
-    for a in range(n):
-        if all(add[a][b] != zero for b in range(n)):
+    for a, row in enumerate(add):
+        if zero not in row:
             bad.append(f"{a} has no additive inverse")
             break
-    for a in range(n):
-        for b in range(a + 1, n):
-            if add[a][b] != add[b][a]:
-                bad.append(f"addition not commutative at ({a},{b})")
-                break
-        else:
+    for a, row in enumerate(add):
+        # the first row to differ from its column differs only right of a
+        if row != add_cols[a]:
+            b = _first_difference(row, add_cols[a])
+            bad.append(f"addition not commutative at ({a},{b})")
+            break
+    if bad:
+        return bad
+    # each law is compared row by row: x fixed, y running over the carrier;
+    # with + commutative, s + t is read as add[t][s] to take whole rows
+    add_gens = _table_generators(n, zero, (add,))
+    for c in add_gens:
+        col = add_cols[c]  # z -> z+c
+        for x, row in enumerate(add):
+            y = _first_difference([col[v] for v in row], [row[v] for v in col])
+            if y is not None:
+                return [f"addition not associative at ({x},{y},{c})"]
+    for c in add_gens:
+        col = add_cols[c]
+        for x, row in enumerate(mul):
+            # x(y+c) against xc + xy
+            plus_xc = add[row[c]]
+            y = _first_difference([row[v] for v in col], [plus_xc[v] for v in row])
+            if y is not None:
+                return [f"left distributivity fails at ({x},{y},{c})"]
+            # (y+c)x against cx + yx
+            xcol, plus_cx = mul_cols[x], add[mul[c][x]]
+            y = _first_difference([xcol[v] for v in col], [plus_cx[v] for v in xcol])
+            if y is not None:
+                return [f"right distributivity fails at ({y},{c},{x})"]
+    for c in _table_generators(n, zero, (add, mul)):
+        col = mul_cols[c]  # z -> zc
+        for x, row in enumerate(mul):
+            y = _first_difference([col[v] for v in row], [row[v] for v in col])
+            if y is not None:
+                return [f"multiplication not associative at ({x},{y},{c})"]
+    return []
+
+
+def _first_difference(left, right):
+    """The first index where the two sequences differ, or None."""
+    if left == right:
+        return None
+    return next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+
+
+def _table_generators(n: int, zero: int, tables) -> list:
+    """Greedy generators of 0..n-1 under the operations given as tables.
+
+    Each element not yet reached, in index order with zero last, becomes a
+    generator; reached grows by the steps z -> t[z][g] for every table t
+    and generator g.  Every element reached this way lies in whatever
+    closed set holds the generators, and no axiom is assumed.
+    """
+    gens, reached, seen = [], [], bytearray(n)
+    for x in [y for y in range(n) if y != zero] + [zero]:
+        if seen[x]:
             continue
-        break
-    for a in range(n):
-        for b in range(n):
-            ab_add = add[a][b]
-            ab_mul = mul[a][b]
-            for c in range(n):
-                if add[ab_add][c] != add[a][add[b][c]]:
-                    bad.append(f"addition not associative at ({a},{b},{c})")
-                    return bad
-                if mul[ab_mul][c] != mul[a][mul[b][c]]:
-                    bad.append(f"multiplication not associative at ({a},{b},{c})")
-                    return bad
-                if mul[a][add[b][c]] != add[ab_mul][mul[a][c]]:
-                    bad.append(f"left distributivity fails at ({a},{b},{c})")
-                    return bad
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-                    bad.append(f"right distributivity fails at ({a},{b},{c})")
-                    return bad
-    return bad
+        gens.append(x)
+        pending = [x] + [t[z][x] for z in reached for t in tables]
+        while pending:
+            y = pending.pop()
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+                pending.extend([t[y][g] for t in tables for g in gens])
+    return gens
 
 
 def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
@@ -937,7 +1017,7 @@ def enumerate_ideals(ring: FiniteRing) -> tuple:
                 sub.extend(c)
             lattice.setdefault(frozenset(sub.elems), tuple(sub.basis))
     ordered = sorted(lattice, key=lambda m: (len(m), sorted(m)))
-    return tuple(Ideal(ring, m) for m in ordered)
+    return tuple(Ideal._trusted(ring, m) for m in ordered)
 
 
 def proper_ideals(ring: FiniteRing) -> tuple:
@@ -1046,30 +1126,3 @@ def element_label(ring: FiniteRing, index: int) -> str:
     if tag == "subring":
         return element_label(prov[1], prov[2][index])
     return str(index)
-
-
-def regenerate(ring: FiniteRing) -> FiniteRing:
-    """Rebuild a ring from its structural provenance.
-
-    The result must be table-identical to the input; raw-table rings are
-    returned unchanged.
-    """
-    prov = ring.provenance
-    tag = prov[0]
-    wide = Caps(table_size=max(DEFAULT_CAPS.table_size, ring.size),
-                morphism_search=DEFAULT_CAPS.morphism_search)
-    if tag == "zmod":
-        return make_zmod(prov[1], wide)
-    if tag == "gf":
-        return make_finite_field(prov[1], prov[2], wide)
-    if tag == "product":
-        return make_product(prov[1], prov[2], wide)
-    if tag == "matrix":
-        return make_matrix_ring(prov[2], prov[1], wide)
-    if tag == "quotient":
-        q, _ = make_quotient(prov[1], Ideal(prov[1], frozenset(prov[2])))
-        return q
-    if tag == "subring":
-        s, _ = subring(prov[1], prov[2], allow_trivial=True)
-        return s
-    return ring

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import NotPrime
 from .pairs import TOP
@@ -225,14 +224,6 @@ class ExponentVector:
     def support(self) -> frozenset:
         return frozenset(p for p, _ in self.overrides)
 
-    def pointwise_leq(self, other: "ExponentVector") -> bool:
-        if self.slot > other.slot:
-            return False
-        primes = self.support() | other.support()
-        if not all(self.value_at(p) <= other.value_at(p) for p in primes):
-            return False
-        return self.default <= other.default
-
     def __repr__(self):
         body = ", ".join(f"{p}:{_fmt_val(v)}" for p, v in self.overrides)
         return f"ExpVec(default={_fmt_val(self.default)}, {{{body}}}, slot={self.slot})"
@@ -287,13 +278,3 @@ def parse_z_element(text: str) -> ZHomElement:
         members = frozenset(int(t) for t in items.split(",") if t.strip())
         return z_zero_kernel(PrimeSet(cofinite, members))
     raise ValueError(f"cannot parse {text!r} as an element over Z")
-
-
-def z_sort_key(x: ZHomElement):
-    if x.is_modular:
-        return (0, x.modulus, ())
-    return (1, int(x.primes.cofinite), tuple(sorted(x.primes.members)))
-
-
-def lcm_many(values) -> int:
-    return reduce(math.lcm, values, 1)

@@ -1,6 +1,7 @@
 """The independent claim battery: catalog, search, reporting, injection."""
 import json
 
+from homposet import oracle, poset
 from homposet.oracle import (
     CLAIMS,
     Catalog,
@@ -9,7 +10,7 @@ from homposet.oracle import (
     verify_hom_construction,
     verify_theorems,
 )
-from homposet.poset import hom_poset
+from homposet.poset import clear_poset_cache, hom_poset
 from homposet.rings import (
     make_matrix_ring,
     make_product,
@@ -200,3 +201,33 @@ def test_json_dict_shape():
     (claim,) = d["claims"]
     assert claim["key"] == "bar-lattice" and claim["ok"] is True
     assert claim["witness"] is None and claim["checked"] > 0
+
+
+def test_oracle_catches_a_core_fault_in_unchecked_pairs(monkeypatch):
+    # M = U(R) in place of U(R)+I: hom_poset and least_of_fiber build their
+    # pairs unchecked, so only the battery's own search can notice
+    clear_poset_cache()
+    monkeypatch.setattr(poset, "_units_plus", lambda ring, imembers: ring.unit_indices)
+    try:
+        report = verify_theorems(build_catalog(16))
+    finally:
+        monkeypatch.undo()
+        clear_poset_cache()
+    failed = [c for c in report.claims if not c.ok]
+    assert [c.key for c in report.claims] == list(CLAIM_KEYS)
+    assert "poset-search" in {c.key for c in failed}
+    assert all(c.witness for c in failed)
+
+
+def test_claim_exception_is_its_witness(monkeypatch):
+    def crash(ctx):
+        raise RuntimeError("boom")
+
+    claims = tuple((k, t, crash if k == "max-spec" else fn) for k, t, fn in CLAIMS)
+    monkeypatch.setattr(oracle, "CLAIMS", claims)
+    report = verify_theorems(build_catalog(8))
+    (bad,) = [c for c in report.claims if not c.ok]
+    assert bad.key == "max-spec" and bad.checked == 0
+    assert bad.witness == "RuntimeError in crash: boom"
+    assert len(report.claims) == len(CLAIMS) and not report.ok
+

@@ -273,3 +273,16 @@ def test_regularity_clause_matches_quotient_reference():
             assert (clause.ok, clause.witness) == expected, (ring, imembers, mmembers)
             witnessed += "zero divisor" in (clause.witness or "")
     assert witnessed >= 100
+
+
+def test_unchecked_pairs_and_ideals_pass_the_public_checks():
+    # hom_poset, meet and enumerate_ideals build these without the checks
+    for ring in build_catalog(16).rings:
+        for ideal in enumerate_ideals(ring):
+            assert Ideal(ring, ideal.members) == ideal
+        elements = hom_poset(ring).elements
+        for p in elements:
+            assert HomPair(ring, p.ideal, p.mset) == p
+            for q in elements:
+                m = meet(p, q)
+                assert HomPair(ring, m.ideal, m.mset) == m

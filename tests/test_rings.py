@@ -1,4 +1,5 @@
 """Table rings: constructors, structural sets, and invariants."""
+import itertools
 import math
 import random
 
@@ -45,7 +46,6 @@ from homposet.rings import (
     make_quotient,
     make_zmod,
     proper_ideals,
-    regenerate,
     regular_elements,
     ring_from_tables,
     subring,
@@ -335,6 +335,28 @@ def test_subrings_reject_out_of_range_and_unclosed_members():
         subring(m2, {0, 9, 2, 4, 11, 13, 6, 15})
 
 
+def regenerate(ring):
+    """Rebuild a ring from its structural provenance."""
+    prov = ring.provenance
+    tag = prov[0]
+    wide = Caps(table_size=max(Caps().table_size, ring.size))
+    if tag == "zmod":
+        return make_zmod(prov[1], wide)
+    if tag == "gf":
+        return make_finite_field(prov[1], prov[2], wide)
+    if tag == "product":
+        return make_product(prov[1], prov[2], wide)
+    if tag == "matrix":
+        return make_matrix_ring(prov[2], prov[1], wide)
+    if tag == "quotient":
+        q, _ = make_quotient(prov[1], Ideal(prov[1], frozenset(prov[2])))
+        return q
+    if tag == "subring":
+        s, _ = subring(prov[1], prov[2], allow_trivial=True)
+        return s
+    return ring
+
+
 def test_regenerate_round_trips():
     samples = [
         make_zmod(9),
@@ -503,6 +525,210 @@ def test_random_product_axioms(n, m):
     assert len(units(p).members) == len(units(make_zmod(n)).members) * len(
         units(make_zmod(m)).members
     )
+
+
+# ---------------------------------------------------------------------------
+# reference axiom scan: the earlier exhaustive O(n^3) check, kept to pin the
+# generating-set decision in check_table_axioms (Light's test)
+
+
+def reference_check_table_axioms(ring: FiniteRing) -> list:
+    """Exhaustive ring-axiom scan; returns human-readable violations."""
+    n, add, mul = ring.size, ring.add_table, ring.mul_table
+    zero, one = ring.zero, ring.one
+    bad = []
+    if any(add[zero][b] != b for b in range(n)):
+        bad.append("0 is not an additive identity")
+    if any(mul[one][b] != b or mul[b][one] != b for b in range(n)):
+        bad.append("1 is not a multiplicative identity")
+    for a in range(n):
+        if all(add[a][b] != zero for b in range(n)):
+            bad.append(f"{a} has no additive inverse")
+            break
+    for a in range(n):
+        for b in range(a + 1, n):
+            if add[a][b] != add[b][a]:
+                bad.append(f"addition not commutative at ({a},{b})")
+                break
+        else:
+            continue
+        break
+    for a in range(n):
+        for b in range(n):
+            ab_add = add[a][b]
+            ab_mul = mul[a][b]
+            for c in range(n):
+                if add[ab_add][c] != add[a][add[b][c]]:
+                    bad.append(f"addition not associative at ({a},{b},{c})")
+                    return bad
+                if mul[ab_mul][c] != mul[a][mul[b][c]]:
+                    bad.append(f"multiplication not associative at ({a},{b},{c})")
+                    return bad
+                if mul[a][add[b][c]] != add[ab_mul][mul[a][c]]:
+                    bad.append(f"left distributivity fails at ({a},{b},{c})")
+                    return bad
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                    bad.append(f"right distributivity fails at ({a},{b},{c})")
+                    return bad
+    return bad
+
+
+# each law as a test on its named elements: True when it holds there
+LAWS = {
+    "addition not commutative": lambda add, mul, a, b: add[a][b] == add[b][a],
+    "addition not associative":
+        lambda add, mul, a, b, c: add[add[a][b]][c] == add[a][add[b][c]],
+    "multiplication not associative":
+        lambda add, mul, a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]],
+    "left distributivity fails":
+        lambda add, mul, a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]],
+    "right distributivity fails":
+        lambda add, mul, a, b, c: mul[add[a][b]][c] == add[mul[a][c]][mul[b][c]],
+}
+
+
+def law_is_broken(ring, message) -> bool:
+    """Whether the violation a check_table_axioms message names occurs."""
+    n, add, mul = ring.size, ring.add_table, ring.mul_table
+    if message == "0 is not an additive identity":
+        return any(add[ring.zero][b] != b for b in range(n))
+    if message == "1 is not a multiplicative identity":
+        return any(mul[ring.one][b] != b or mul[b][ring.one] != b for b in range(n))
+    if message.endswith("has no additive inverse"):
+        a = int(message.split()[0])
+        return all(add[a][b] != ring.zero for b in range(n))
+    head, _, args = message.partition(" at (")
+    elems = [int(t) for t in args.rstrip(")").split(",")]
+    if head.endswith("table entry"):
+        table = add if head.startswith("addition") else mul
+        return not 0 <= table[elems[0]][elems[1]] < n
+    return not LAWS[head](add, mul, *elems)
+
+
+def table_ring(ring, add, mul) -> FiniteRing:
+    """Tables taken as they are, without ring_from_tables' check."""
+    return FiniteRing(ring.size, tuple(map(tuple, add)), tuple(map(tuple, mul)),
+                      ring.zero, ring.one)
+
+
+def table_mutants(ring, rng, count):
+    """Copies of the tables with one or two entries set to random values.
+
+    A second entry mirrors the first half the time, so that a mutated sum
+    can stay commutative and reach the laws in three variables.
+    """
+    n = ring.size
+    for _ in range(count):
+        add = [list(row) for row in ring.add_table]
+        mul = [list(row) for row in ring.mul_table]
+        table = rng.choice((add, mul))
+        a, b, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        table[a][b] = v
+        if rng.random() < 0.25:
+            table[b][a] = v
+        elif rng.random() < 0.33:
+            rng.choice((add, mul))[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        yield table_ring(ring, add, mul)
+
+
+def near_ring_of_maps(m, opposite=False) -> FiniteRing:
+    """All maps Z/m -> Z/m under pointwise + and composition.
+
+    f o (g + h) differs from f o g + f o h for a map f that is not
+    additive, so this is associative and distributive on one side only;
+    opposite composes the other way round and swaps the sides.
+    """
+    maps = list(itertools.product(range(m), repeat=m))
+    index = {f: i for i, f in enumerate(maps)}
+    add = [[index[tuple((x + y) % m for x, y in zip(f, g))] for g in maps] for f in maps]
+    mul = [[index[tuple(f[g[x]] for x in range(m))] for g in maps] for f in maps]
+    if opposite:
+        mul = [list(col) for col in zip(*mul)]
+    zero, one = index[(0,) * m], index[tuple(range(m))]
+    return FiniteRing(len(maps), tuple(map(tuple, add)), tuple(map(tuple, mul)), zero, one)
+
+
+def random_algebra(p, k, rng) -> FiniteRing:
+    """A unital algebra over Z/p with basis 1 = e0, e1, ..., e(k-1) and
+    random structure constants e_i e_j for i, j > 0.
+
+    Its product is bilinear, so every law but associativity of x holds.
+    """
+    n = p**k
+    vecs = [[(i // p**d) % p for d in range(k)] for i in range(n)]
+    basis = [[int(d == i) for d in range(k)] for i in range(k)]
+    const = [[basis[j] if i == 0 else basis[i] if j == 0
+              else [rng.randrange(p) for _ in range(k)] for j in range(k)]
+             for i in range(k)]
+
+    def index(v):
+        return sum(c * p**d for d, c in enumerate(v))
+
+    add = [[index([(x + y) % p for x, y in zip(u, v)]) for v in vecs] for u in vecs]
+    mul = []
+    for u in vecs:
+        row = []
+        for v in vecs:
+            out = [0] * k
+            for i, ui in enumerate(u):
+                for j, vj in enumerate(v):
+                    if ui and vj:
+                        for d, c in enumerate(const[i][j]):
+                            out[d] = (out[d] + ui * vj * c) % p
+            row.append(index(out))
+        mul.append(row)
+    return FiniteRing(n, tuple(map(tuple, add)), tuple(map(tuple, mul)), 0, 1)
+
+
+def axiom_inputs():
+    """The catalog, M2(Z/3), near-rings, random algebras, and seeded
+    one- and two-entry mutants of the small catalog rings and M2(Z/2)."""
+    rng = random.Random(20251)
+    catalog = build_catalog(32).rings
+    yield from catalog
+    yield make_matrix_ring(make_zmod(3), 2, Caps(table_size=81))
+    for m in (2, 3):
+        yield near_ring_of_maps(m)
+        yield near_ring_of_maps(m, opposite=True)
+    for p, k in ((2, 2), (2, 3), (2, 4), (3, 2)):
+        for _ in range(6):
+            yield random_algebra(p, k, rng)
+    for ring in catalog:
+        if ring.size <= 16:
+            yield from table_mutants(ring, rng, 30)
+    yield from table_mutants(make_matrix_ring(make_zmod(2), 2), rng, 2000)
+
+
+def test_axiom_check_matches_exhaustive_scan():
+    counts = {}
+    for ring in axiom_inputs():
+        bad = check_table_axioms(ring)
+        assert bool(bad) == bool(reference_check_table_axioms(ring)), (ring, bad)
+        for message in bad:
+            assert law_is_broken(ring, message), (ring, message)
+        if bad:
+            law = bad[0].partition(" at ")[0]
+            counts[law] = counts.get(law, 0) + 1
+    # every law in three variables is the first failure somewhere
+    for law in ("addition not associative", "left distributivity fails",
+                "right distributivity fails", "multiplication not associative"):
+        assert counts.get(law, 0) >= 3, counts
+
+
+def test_axiom_check_rejects_out_of_range_entries():
+    z3 = make_zmod(3)
+    for bad_value in (3, -1):
+        add = [list(row) for row in z3.add_table]
+        add[1][2] = bad_value
+        assert check_table_axioms(table_ring(z3, add, z3.mul_table)) == [
+            "addition table entry at (1,2) is out of range"
+        ]
+        with pytest.raises(ValueError, match="out of range"):
+            ring_from_tables(add, z3.mul_table)
+    mul = [list(row) for row in z3.mul_table]
+    mul[2][2] = 7
+    with pytest.raises(ValueError, match="multiplication table entry at \\(2,2\\)"):
+        ring_from_tables(z3.add_table, mul)
 
 
 # ---------------------------------------------------------------------------
