@@ -54,7 +54,7 @@ def universal_inverting_finite(ring: FiniteRing, pair: HomPair,
         keys = ", ".join(c.key for c in report.failed())
         raise InvalidPair(f"pair fails: {keys}")
     quotient, proj = make_quotient(ring, Ideal(ring, pair.ideal))
-    assert proj.kernel_members == pair.ideal
+    assert proj.kernel_members == pair.ideal, f"{proj!r} has the wrong kernel"
     assert proj.unit_preimage_members == pair.mset, (
         "projection must invert exactly the multiplicative component"
     )
@@ -176,8 +176,8 @@ def canonical_factorization(f: RingMorphism) -> Factorization:
     fact = Factorization(f, quotient, start, invert, image_ring, carrier,
                          collapse, embed)
     assert fact.composite() == f, "stages must compose to the original morphism"
-    assert collapse.is_surjective and is_ring_epimorphism(collapse)
-    assert embed.is_injective
+    assert collapse.is_surjective and is_ring_epimorphism(collapse), f"{collapse!r} is not epi"
+    assert embed.is_injective, f"{embed!r} is not injective"
     return fact
 
 
@@ -202,7 +202,7 @@ def epimorphic_corestriction(f: RingMorphism) -> Corestriction:
     image_ring, carrier = subring(f.target, f.image_members)
     local = {x: i for i, x in enumerate(carrier)}
     g = RingMorphism(f.source, image_ring, tuple(local[y] for y in f.images))
-    assert g.kernel_members == f.kernel_members
+    assert g.kernel_members == f.kernel_members, f"corestriction changes the kernel of {f!r}"
     assert g.unit_preimage_members == f.unit_preimage_members, (
         "corestriction must preserve the unit preimage"
     )

@@ -12,11 +12,10 @@ cut only when it cannot extend to a morphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .abelian import cokernel_invariants, group_presentation
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, NotAProduct, NotComposable
+from .errors import CapExceeded, NotComposable
 from .rings import (
     FiniteRing,
     Ideal,
@@ -26,13 +25,14 @@ from .rings import (
     compose,
     coset_reps,
     identity_morphism,
+    per_ring,
     product_factors,
     ring_label,
     subring,
 )
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def _chain(src: FiniteRing) -> tuple:
     """The subrings 1 = S0 < S1 < ... the search fills f along, with the
     steps that derive f on each from f on the one before.
@@ -50,8 +50,7 @@ def _chain(src: FiniteRing) -> tuple:
     block j is j*c + elems[:s].  gens lists the generators so far, newest
     first.  _Subgroup.close would reach the same spans, but recording how
     each element arose serves only this search and would make the ideal
-    core's hot loop branch on its caller, so the walk lives here.  It is
-    cached per source ring, which _morphisms_cached already keeps alive.
+    core's hot loop branch on its caller, so the walk lives here.
     """
     mul = src.mul_table
     sub = _Subgroup(src)
@@ -70,7 +69,7 @@ def _chain(src: FiniteRing) -> tuple:
     return tuple(levels)
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def _morphisms_cached(src: FiniteRing, tgt: FiniteRing) -> tuple:
     chain = _chain(src)
     elems = chain[-1][2]

@@ -32,7 +32,6 @@ from .morphisms import (
 )
 from .pairs import (
     TOP,
-    HomPair,
     leq,
     meet,
     pair_of_morphism,
@@ -42,7 +41,6 @@ from .pairs import (
 )
 from .poset import (
     has_greatest,
-    hasse,
     hom_functor,
     hom_poset,
     is_local_morphism,

@@ -15,7 +15,7 @@ ring.  Maxima and Hasse covers come from the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import ImproperIdeal, NotCommutative, RingMismatch
@@ -29,6 +29,7 @@ from .rings import (
     is_prime,
     jacobson_radical,
     make_finite_field,
+    per_ring,
     product_factors,
     proper_ideals,
     ring_label,
@@ -79,19 +80,18 @@ class HomPoset:
         return f"HomPoset({ring_label(self.ring)},{bar} {len(self.elements)} pairs)"
 
 
-@lru_cache(maxsize=None)
-def _hom_poset_cached(ring: FiniteRing, adjoin_top: bool) -> HomPoset:
-    if adjoin_top:
-        return HomPoset(ring, _hom_poset_cached(ring, False).elements, True)
+@per_ring
+def _posets(ring: FiniteRing) -> tuple:
+    """The plain poset over the ring and its completion, on one pair tuple."""
     # (I, U(R)+I) is the pair of R -> R/I, so no pair needs checking
     pairs = [
         HomPair._trusted(ring, ideal.members, _units_plus(ring, ideal.members))
         for ideal in proper_ideals(ring)
     ]
     pairs.sort(key=lambda p: p.sort_key())
-    poset = HomPoset(ring, tuple(pairs))
-    assert poset.elements[0].ideal == frozenset({ring.zero}), "least pair must be (0, U)"
-    return poset
+    elements = tuple(pairs)
+    assert elements[0].ideal == frozenset({ring.zero}), "least pair must be (0, U)"
+    return HomPoset(ring, elements), HomPoset(ring, elements, True)
 
 
 def hom_poset(ring: FiniteRing, adjoin_top: bool = False) -> HomPoset:
@@ -100,11 +100,7 @@ def hom_poset(ring: FiniteRing, adjoin_top: bool = False) -> HomPoset:
     With adjoin_top=True the result is the bounded-lattice completion whose
     greatest element is the TOP sentinel.
     """
-    return _hom_poset_cached(ring, adjoin_top)
-
-
-def clear_poset_cache():
-    _hom_poset_cached.cache_clear()
+    return _posets(ring)[bool(adjoin_top)]
 
 
 def join_ext(p, q, poset: HomPoset):
@@ -310,9 +306,8 @@ def maximality_chain(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> MaximalityR
         if is_completely_prime(ring, ideal):
             cpr.add(least_of_fiber(ring, ideal))
             # complement is exactly the unit preimage for a complete prime
-            assert least_of_fiber(ring, ideal).mset == (
-                frozenset(range(ring.size)) - ideal.members
-            )
+            assert least_of_fiber(ring, ideal).mset == ring.index_set - ideal.members, (
+                f"M over the complete prime {sorted(ideal.members)} is not its complement")
     mx = max_elements(hom_poset(ring))
     report = MaximalityReport(
         ring,
@@ -352,7 +347,8 @@ def spec_correspondence(ring: FiniteRing) -> tuple:
     for ideal in proper_ideals(ring):
         if is_completely_prime(ring, ideal):
             pair = least_of_fiber(ring, ideal)
-            assert pair.mset == carrier - ideal.members
+            assert pair.mset == carrier - ideal.members, (
+                f"M over the prime {sorted(ideal.members)} is not its complement")
             table.append((ideal, pair))
     mx = set(max_elements(hom_poset(ring)))
     assert {p for _, p in table} == mx, "primes and maximal pairs must agree"

