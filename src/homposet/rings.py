@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, partial, wraps
+from operator import getitem, itemgetter
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import (
@@ -583,12 +584,16 @@ def _table_generators(n: int, zero: int, tables) -> list:
 
 
 def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """Integers modulo n, carrier 0..n-1."""
+    """Integers modulo n, carrier 0..n-1.
+
+    Addition row a is 0..n-1 rotated left by a, built by slicing.
+    """
     if n <= 1:
         raise ZeroRingExcluded(f"zmod needs n >= 2, got {n}")
     if n > caps.table_size:
         raise CapExceeded(f"{n} > table cap {caps.table_size}")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    elems = tuple(range(n))
+    add = [elems[a:] + elems[:a] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     return _from_tables(add, mul, 0, 1, ("zmod", n))
 
@@ -677,12 +682,69 @@ def _undigits(digits, base: int) -> int:
     return v
 
 
+def _digit_rows(q: int, width: int, zero: int, first, single, then) -> list:
+    """Rows of a table on the words of `width` base-q digits, digit t worth q**t.
+
+    The word of all `zero`s gets the row `first`; the word with digit d at
+    place t and `zero` elsewhere gets single(t, d).  Every other word is
+    the word of its leading digit plus the rest, which has `zero` from that
+    place up, so its row is then(lead)(rest), made from the rows of the
+    lead and the rest, which exist already.
+    """
+    size = q**width
+    zw = zero * (size - 1) // (q - 1)  # the word of all zeros
+    rows = [None] * size
+    rows[zw] = first
+    done = [zw]  # the words with `zero` from place t up
+    for t in range(width):
+        grown = []
+        for d in range(q):
+            if d != zero:
+                shift = (d - zero) * q**t
+                lead = rows[zw + shift] = single(t, d)
+                step = then(lead)
+                for w in done[1:]:
+                    rows[w + shift] = step(rows[w])
+                grown += [w + shift for w in done]
+        done += grown
+    return rows
+
+
+def _digit_add_rows(badd, zero: int, width: int) -> list:
+    """Addition rows of words added place by place through the table badd.
+
+    Only the rows of one-digit words are filled entry by entry.  Any other
+    row is a composition, a + b = rest + (lead + b): the row of the rest
+    read at the entries of the row of lead.
+    """
+    q = len(badd)
+    size = q**width
+
+    def single(t, d):
+        # adding d at place t moves the digit e there to badd[d][e]
+        unit = q**t
+        moved = [(badd[d][e] - e) * unit for e in range(q)]
+        return tuple([b + moved[b // unit % q] for b in range(size)])
+
+    same = tuple(range(size))
+    return _digit_rows(q, width, zero, same, single, lambda lead: itemgetter(*lead))
+
+
+def _plus_row(add, x):
+    """Entrywise sum with a row: y -> the row b -> add[x[b]][y[b]]."""
+    plus = itemgetter(*x)(add)  # plus[b] is the addition row of x[b]
+    return lambda y: tuple(map(getitem, plus, y))
+
+
 def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Field of order p**k as Z/p[x] modulo its least monic irreducible.
 
     Elements are encoded base p, low coefficient in the least significant
     digit, so index i is the polynomial sum(digit_j * x^j).  For k = 1 the
     tables coincide with make_zmod(p).  Repeated calls return the same ring.
+    Addition rows are composed from the rows of one-term polynomials
+    (_digit_add_rows); multiplication row a is the exp table rotated by
+    log a, read at the logs.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -699,10 +761,7 @@ def _finite_field(p: int, k: int) -> FiniteRing:
     q = p**k
     modulus = _smallest_irreducible(p, k)
     polys = [_digits(i, p, k) for i in range(q)]
-    add = [
-        [_undigits([(a + b) % p for a, b in zip(f, g)], p) for g in polys]
-        for f in polys
-    ]
+    add = _digit_add_rows([[(a + b) % p for b in range(p)] for a in range(p)], 0, k)
     # the multiplicative group is cyclic: with exp listing the powers of a
     # primitive element and log inverting it, a*b = exp[log a + log b]
     order = q - 1
@@ -719,35 +778,29 @@ def _finite_field(p: int, k: int) -> FiniteRing:
     for i, x in enumerate(exp):
         log[x] = i
     exp2 = exp + exp
-    mul = [[0] * q for _ in range(q)]
-    for a in range(1, q):
-        row, la = mul[a], log[a]
-        for b in range(1, q):
-            row[b] = exp2[la + log[b]]
+    # row a is [0] + exp rotated by log a, read at 0 for b = 0 and at 1 + log b
+    at_logs = itemgetter(0, *[1 + log[b] for b in range(1, q)])
+    mul = [(0,) * q] + [at_logs([0] + exp2[log[a]:log[a] + order]) for a in range(1, q)]
     return _from_tables(add, mul, 0, 1, ("gf", p, k, modulus))
 
 
 def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """Componentwise ring on the cartesian carrier; index (a, b) = a*|R2| + b."""
+    """Componentwise ring on the cartesian carrier; index (a, b) = a*|R2| + b.
+
+    Row (a1, a2) of each table is one comprehension over the factor rows
+    a1 and a2.
+    """
     if r1.size < 2 or r2.size < 2:
         raise ZeroRingExcluded("product factors must have 1 != 0")
     size = r1.size * r2.size
     if size > caps.table_size:
         raise CapExceeded(f"{size} > table cap {caps.table_size}")
     n2 = r2.size
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    for a1 in range(r1.size):
-        for a2 in range(n2):
-            i = a1 * n2 + a2
-            arow, mrow = add[i], mul[i]
-            aa, ma = r1.add_table[a1], r1.mul_table[a1]
-            ab, mb = r2.add_table[a2], r2.mul_table[a2]
-            for b1 in range(r1.size):
-                for b2 in range(n2):
-                    j = b1 * n2 + b2
-                    arow[j] = aa[b1] * n2 + ab[b2]
-                    mrow[j] = ma[b1] * n2 + mb[b2]
+
+    def rows(t1, t2):
+        return [[v * n2 + x for v in row1 for x in row2] for row1 in t1 for row2 in t2]
+
+    add, mul = rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table)
     zero = r1.zero * n2 + r2.zero
     one = r1.one * n2 + r2.one
     return _from_tables(add, mul, zero, one, ("product", r1, r2))
@@ -815,7 +868,13 @@ def is_field(ring: FiniteRing) -> bool:
 
 
 def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """k x k matrices over a finite field, row-major base-q digit encoding."""
+    """k x k matrices over a finite field, row-major base-q digit encoding.
+
+    Addition is digitwise through the base table (_digit_add_rows).  Right
+    multiplication by B is additive, so row A of the multiplication table
+    is the entrywise sum of the rows of A's leading entry and of the rest;
+    only the rows of matrices with one entry off zero are multiplied out.
+    """
     if not is_field(base):
         raise BaseNotField(ring_label(base))
     if k < 1:
@@ -825,29 +884,22 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
     if size > caps.table_size:
         raise CapExceeded(f"{size} > table cap {caps.table_size}")
     nn = k * k
+    bzero, bmul = base.zero, base.mul_table
+    zero = _undigits((bzero,) * nn, q)
+    one = _undigits([base.one if r == c else bzero for r in range(k) for c in range(k)], q)
+    add = _digit_add_rows(base.add_table, bzero, nn)
     mats = [_digits(i, q, nn) for i in range(size)]
-    badd, bmul = base.add_table, base.mul_table
-    add = [
-        [_undigits([badd[x][y] for x, y in zip(A, B)], q) for B in mats]
-        for A in mats
-    ]
-    mul = []
-    for i in range(size):
-        A = mats[i]
-        row = []
-        for j in range(size):
-            B = mats[j]
-            out = []
-            for r in range(k):
-                for c in range(k):
-                    acc = base.zero
-                    for t in range(k):
-                        acc = badd[acc][bmul[A[r * k + t]][B[t * k + c]]]
-                    out.append(acc)
-            row.append(_undigits(out, q))
-        mul.append(row)
-    zero = _undigits((base.zero,) * nn, q)
-    one = _undigits([base.one if r == c else base.zero for r in range(k) for c in range(k)], q)
+
+    def single(t, d):
+        # d at (r, c) times B is d times row c of B, moved to row r
+        r, c = divmod(t, k)
+        dm, units = bmul[d], [q ** (r * k + j) for j in range(k)]
+        return tuple([
+            zero + sum((dm[B[c * k + j]] - bzero) * units[j] for j in range(k))
+            for B in mats
+        ])
+
+    mul = _digit_rows(q, nn, bzero, (zero,) * size, single, partial(_plus_row, add))
     return _from_tables(add, mul, zero, one, ("matrix", k, base))
 
 

@@ -215,15 +215,6 @@ class ExponentVector:
     overrides: tuple  # sorted (prime, value)
     slot: int
 
-    def value_at(self, p: int):
-        for q, v in self.overrides:
-            if q == p:
-                return v
-        return self.default
-
-    def support(self) -> frozenset:
-        return frozenset(p for p, _ in self.overrides)
-
     def __repr__(self):
         body = ", ".join(f"{p}:{_fmt_val(v)}" for p, v in self.overrides)
         return f"ExpVec(default={_fmt_val(self.default)}, {{{body}}}, slot={self.slot})"

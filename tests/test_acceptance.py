@@ -52,12 +52,22 @@ from homposet.zhom import (
 )
 
 
+def value_at(v, p: int):
+    """The exponent vector v at the prime p."""
+    return dict(v.overrides).get(p, v.default)
+
+
+def support(v) -> frozenset:
+    """The primes where v overrides its default."""
+    return frozenset(p for p, _ in v.overrides)
+
+
 def pointwise_leq(v, w) -> bool:
     """Whether exponent vector v lies below w at every prime and in slot."""
     if v.slot > w.slot:
         return False
-    primes = v.support() | w.support()
-    if not all(v.value_at(p) <= w.value_at(p) for p in primes):
+    primes = support(v) | support(w)
+    if not all(value_at(v, p) <= value_at(w, p) for p in primes):
         return False
     return v.default <= w.default
 

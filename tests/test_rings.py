@@ -25,9 +25,12 @@ from homposet.rings import (
     Ideal,
     MultiplicativeSet,
     RingMorphism,
+    _digits,
     _is_ideal,
     _is_submonoid,
     _poly_mul_mod,
+    _smallest_irreducible,
+    _undigits,
     check_table_axioms,
     compose,
     coset_reps,
@@ -37,6 +40,7 @@ from homposet.rings import (
     is_completely_prime,
     is_directly_finite,
     is_field,
+    is_prime,
     is_saturated,
     jacobson_radical,
     kernel,
@@ -494,6 +498,8 @@ def test_ideal_lattice_matches_reference_on_products(factors):
 
 
 def test_finite_field_tables_match_schoolbook_product():
+    # both tables, on polynomials as digit tuples: digitwise sums mod p and
+    # schoolbook products reduced by the modulus
     wide = Caps(table_size=256)
     for q in range(2, 257):
         p = next(d for d in range(2, q + 1) if q % d == 0)
@@ -508,6 +514,11 @@ def test_finite_field_tables_match_schoolbook_product():
             tuple(index[_poly_mul_mod(a, b, modulus, p)] for b in polys) for a in polys
         )
         assert gf.mul_table == schoolbook, q
+        digitwise = tuple(
+            tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for b in polys)
+            for a in polys
+        )
+        assert gf.add_table == digitwise, q
 
 
 def test_coset_reps_are_least_and_sorted():
@@ -926,3 +937,157 @@ def test_generators_match_greedy_definition():
         sub, _ = subring(m2, members)
         assert sub.generators == reference_generators(sub), seed
 
+
+
+# ---------------------------------------------------------------------------
+# reference builders: the earlier per-entry table constructions, kept to pin
+# the row-at-a-time builders (rotation, digit composition, additivity) to
+# the same tables, zero and one
+
+
+def reference_ring(add, mul, zero, one) -> FiniteRing:
+    add = tuple(tuple(row) for row in add)
+    mul = tuple(tuple(row) for row in mul)
+    return FiniteRing(len(add), add, mul, zero, one)
+
+
+def reference_make_zmod(n) -> FiniteRing:
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    return reference_ring(add, mul, 0, 1)
+
+
+def reference_finite_field(p, k) -> FiniteRing:
+    q = p**k
+    modulus = _smallest_irreducible(p, k)
+    polys = [_digits(i, p, k) for i in range(q)]
+    add = [
+        [_undigits([(a + b) % p for a, b in zip(f, g)], p) for g in polys]
+        for f in polys
+    ]
+    order = q - 1
+    for g in range(1, q):
+        exp = [1]
+        while True:
+            nxt = _undigits(_poly_mul_mod(polys[exp[-1]], polys[g], modulus, p), p)
+            if nxt == 1:
+                break
+            exp.append(nxt)
+        if len(exp) == order:
+            break
+    log = [0] * q
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp2 = exp + exp
+    mul = [[0] * q for _ in range(q)]
+    for a in range(1, q):
+        row, la = mul[a], log[a]
+        for b in range(1, q):
+            row[b] = exp2[la + log[b]]
+    return reference_ring(add, mul, 0, 1)
+
+
+def reference_matrix_ring(base, k) -> FiniteRing:
+    q = base.size
+    size = q ** (k * k)
+    nn = k * k
+    mats = [_digits(i, q, nn) for i in range(size)]
+    badd, bmul = base.add_table, base.mul_table
+    add = [
+        [_undigits([badd[x][y] for x, y in zip(A, B)], q) for B in mats]
+        for A in mats
+    ]
+    mul = []
+    for i in range(size):
+        A = mats[i]
+        row = []
+        for j in range(size):
+            B = mats[j]
+            out = []
+            for r in range(k):
+                for c in range(k):
+                    acc = base.zero
+                    for t in range(k):
+                        acc = badd[acc][bmul[A[r * k + t]][B[t * k + c]]]
+                    out.append(acc)
+            row.append(_undigits(out, q))
+        mul.append(row)
+    zero = _undigits((base.zero,) * nn, q)
+    one = _undigits([base.one if r == c else base.zero for r in range(k) for c in range(k)], q)
+    return reference_ring(add, mul, zero, one)
+
+
+def reference_make_product(r1, r2) -> FiniteRing:
+    size = r1.size * r2.size
+    n2 = r2.size
+    add = [[0] * size for _ in range(size)]
+    mul = [[0] * size for _ in range(size)]
+    for a1 in range(r1.size):
+        for a2 in range(n2):
+            i = a1 * n2 + a2
+            arow, mrow = add[i], mul[i]
+            aa, ma = r1.add_table[a1], r1.mul_table[a1]
+            ab, mb = r2.add_table[a2], r2.mul_table[a2]
+            for b1 in range(r1.size):
+                for b2 in range(n2):
+                    j = b1 * n2 + b2
+                    arow[j] = aa[b1] * n2 + ab[b2]
+                    mrow[j] = ma[b1] * n2 + mb[b2]
+    return reference_ring(add, mul, r1.zero * n2 + r2.zero, r1.one * n2 + r2.one)
+
+
+def prime_powers(bound):
+    """(p, k) with p prime and p**k <= bound."""
+    return [(p, k) for p in range(2, bound + 1) if is_prime(p)
+            for k in range(1, bound.bit_length()) if p**k <= bound]
+
+
+def relabelled_z3() -> FiniteRing:
+    """Z/3 through ring_from_tables with its zero at index 2 and one at 0."""
+    new = (2, 0, 1)  # new[x] is the index of the residue x
+    old = {v: x for x, v in enumerate(new)}
+
+    def table(op):
+        return [[new[op(old[a], old[b]) % 3] for b in range(3)] for a in range(3)]
+
+    return ring_from_tables(table(lambda a, b: a + b), table(lambda a, b: a * b))
+
+
+def test_zmod_tables_match_reference():
+    wide = Caps(table_size=300)
+    for n in range(2, 301):
+        assert make_zmod(n, wide) == reference_make_zmod(n), n
+
+
+def test_finite_field_tables_match_reference():
+    wide = Caps(table_size=256)
+    for p, k in prime_powers(256):
+        assert make_finite_field(p, k, wide) == reference_finite_field(p, k), (p, k)
+
+
+def test_matrix_tables_match_reference():
+    wide = Caps(table_size=512)
+    fields = [r for r in build_catalog(16).rings if is_field(r)]
+    assert make_finite_field(2, 2) in fields  # digit sums there are not sums mod q
+    for base in fields:
+        k = 1
+        while base.size ** (k * k) <= 512:
+            assert make_matrix_ring(base, k, wide) == reference_matrix_ring(base, k), (base, k)
+            k += 1
+
+
+def test_matrix_ring_over_a_base_whose_zero_is_not_index_0():
+    z3 = relabelled_z3()
+    assert (z3.zero, z3.one) == (2, 0) and is_field(z3)
+    m2 = make_matrix_ring(z3, 2, Caps(table_size=81))
+    assert check_table_axioms(m2) == []
+    assert m2 == reference_matrix_ring(z3, 2)
+    assert m2.zero == 80 and len(m2.unit_indices) == 48  # |GL_2(F_3)|
+
+
+def test_product_tables_match_reference():
+    rings = build_catalog(16).rings
+    for i, r1 in enumerate(rings):
+        for r2 in rings[i:]:
+            wide = Caps(table_size=r1.size * r2.size)
+            assert make_product(r1, r2, wide) == reference_make_product(r1, r2), (r1, r2)
