@@ -28,6 +28,7 @@ from .morphisms import (
     decompose_product_morphism,
     denominator_analysis,
     enumerate_morphisms,
+    is_ring_epimorphism,
     rebuild_product_morphism,
 )
 from .pairs import (
@@ -59,9 +60,11 @@ from .rings import (
     check_table_axioms,
     compose,
     ideal_generated_by,
+    identity_morphism,
     is_completely_prime,
     is_directly_finite,
     is_saturated,
+    jacobson_radical,
     make_finite_field,
     make_matrix_ring,
     make_product,
@@ -310,8 +313,6 @@ def _claim_meet_product(ctx):
 
 
 def _claim_functor_laws(ctx):
-    from .rings import identity_morphism
-
     checked = 0
     for r in ctx.small_rings:
         fm = hom_functor(identity_morphism(r))
@@ -365,10 +366,24 @@ def _claim_product_poset(ctx):
     checked = 0
     for prod in ctx.product_rings:
         checked += 1
-        try:
-            product_decompose_poset(prod)
-        except AssertionError as e:
-            return checked, f"{ring_label(prod)}: {e}"
+        iso = product_decompose_poset(prod)
+        n2 = iso.factor2.size
+        for p, (x1, x2) in iso.forward.items():
+            # TOP on a side stands for the whole factor
+            i1 = range(iso.factor1.size) if x1 is TOP else x1.ideal
+            i2 = range(n2) if x2 is TOP else x2.ideal
+            if p is not TOP and p.ideal != {a * n2 + b for a in i1 for b in i2}:
+                return checked, f"{ring_label(prod)}: product ideal does not split"
+        if len(iso.backward) != len(iso.forward):
+            return checked, f"{ring_label(prod)}: factor split is not injective"
+        bar1 = hom_poset(iso.factor1, adjoin_top=True)
+        bar2 = hom_poset(iso.factor2, adjoin_top=True)
+        if len(iso.forward) != len(bar1) * len(bar2):
+            return checked, f"{ring_label(prod)}: factor split is not onto"
+        for x, (x1, x2) in iso.forward.items():
+            for y, (y1, y2) in iso.forward.items():
+                if leq(x, y) != (leq(x1, y1) and leq(x2, y2)):
+                    return checked, f"{ring_label(prod)}: order not preserved at {x}, {y}"
     return checked, None
 
 
@@ -392,12 +407,19 @@ def _claim_max_spec(ctx):
     checked = 0
     for r in ctx.rings:
         checked += 1
-        try:
-            maximality_chain(r, caps=ctx.caps)
-            if r.is_commutative:
-                spec_correspondence(r)
-        except AssertionError as e:
-            return checked, f"{ring_label(r)}: {e}"
+        report = maximality_chain(r, caps=ctx.caps)
+        for p in report.completely_prime_pairs:
+            if p.mset != r.index_set - p.ideal:
+                return checked, (
+                    f"{ring_label(r)}: M over the complete prime {sorted(p.ideal)} "
+                    "is not its complement"
+                )
+        if not report.chain_holds:
+            return checked, f"{ring_label(r)}: containment chain fails"
+        if r.is_commutative and (
+            {p for _, p in spec_correspondence(r)} != set(report.maximal_pairs)
+        ):
+            return checked, f"{ring_label(r)}: primes and maximal pairs disagree"
     return checked, None
 
 
@@ -513,6 +535,13 @@ def _claim_universal_factor(ctx):
                             )
                         if compose(g, loc.canonical) != f:
                             return checked, f"factorization of {f!r} does not compose back"
+                        found = sum(compose(h, loc.canonical) == f
+                                    for h in ctx.morphisms(loc.ring, s))
+                        if found != 1:
+                            return checked, (
+                                f"{found} morphisms factor {f!r} through the "
+                                "universal morphism of a pair below it"
+                            )
                     else:
                         checked += 1
                         try:
@@ -532,10 +561,12 @@ def _claim_corestriction_epi(ctx):
         for s in ctx.small_rings:
             for f in ctx.morphisms(r, s):
                 checked += 1
-                try:
-                    co = epimorphic_corestriction(f)
-                except AssertionError as e:
-                    return checked, f"{f!r}: {e}"
+                co = epimorphic_corestriction(f)
+                g = co.corestriction
+                if g.kernel_members != f.kernel_members:
+                    return checked, f"corestriction of {f!r} changes the kernel"
+                if g.unit_preimage_members != f.unit_preimage_members:
+                    return checked, f"corestriction of {f!r} changes the unit preimage"
                 if not co.is_epi:
                     return checked, f"corestriction of {f!r} is not epi"
     return checked, None
@@ -547,10 +578,14 @@ def _claim_factor_stages(ctx):
         for s in ctx.small_rings:
             for f in ctx.morphisms(r, s):
                 checked += 1
-                try:
-                    canonical_factorization(f)
-                except AssertionError as e:
-                    return checked, f"{f!r}: {e}"
+                fact = canonical_factorization(f)
+                if fact.composite() != f:
+                    return checked, f"stages of {f!r} do not compose back"
+                collapse = fact.collapse
+                if not (collapse.is_surjective and is_ring_epimorphism(collapse)):
+                    return checked, f"collapse stage of {f!r} is not epi"
+                if not fact.embed.is_injective:
+                    return checked, f"embedding stage of {f!r} is not injective"
     return checked, None
 
 
@@ -581,10 +616,11 @@ def _claim_local_criterion(ctx):
     checked = 0
     for f in ctx.all_morphisms():
         checked += 1
-        try:
-            is_local_morphism(f)
-        except AssertionError as e:
-            return checked, f"{f!r}: {e}"
+        radical = f.kernel_members <= jacobson_radical(f.source).members
+        if is_local_morphism(f) != radical:
+            return checked, (
+                f"{f!r}: unit reflection and the radical criterion disagree"
+            )
     return checked, None
 
 

@@ -237,8 +237,9 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
         "units_included", not missing,
         f"unit {lab(missing[0])} not in M" if missing else None))
 
+    is_ideal = _is_ideal(ring, imembers)
     ok, wit = True, None
-    if not _is_ideal(ring, imembers):
+    if not is_ideal:
         ok, wit = False, "first component is not an ideal"
     else:
         inter = sorted(imembers & mmembers)
@@ -258,7 +259,7 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
     ok, wit = True, None
     if ring.one in imembers:
         ok, wit = False, "ideal is improper"
-    elif _is_ideal(ring, imembers):
+    elif is_ideal:
         # m is a zero divisor mod I when m*x or x*m lies in I for some x
         # outside I; the condition holds for a whole coset x + I, so the
         # least such x is the least element of its coset

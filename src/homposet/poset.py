@@ -14,6 +14,7 @@ ring.  Maxima and Hasse covers come from the same table.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,7 +28,6 @@ from .rings import (
     RingMorphism,
     is_completely_prime,
     is_prime,
-    jacobson_radical,
     make_finite_field,
     per_ring,
     product_factors,
@@ -90,7 +90,6 @@ def _posets(ring: FiniteRing) -> tuple:
     ]
     pairs.sort(key=lambda p: p.sort_key())
     elements = tuple(pairs)
-    assert elements[0].ideal == frozenset({ring.zero}), "least pair must be (0, U)"
     return HomPoset(ring, elements), HomPoset(ring, elements, True)
 
 
@@ -202,13 +201,10 @@ def hom_functor(f: RingMorphism) -> PosetMap:
 def is_local_morphism(f: RingMorphism) -> bool:
     """Whether f reflects units: f(x) invertible only when x is.
 
-    Equivalent over finite rings to ker f lying inside the radical; both
-    criteria are computed and must agree.
+    Equivalent over finite rings to ker f lying inside the radical; the
+    oracle claim local-criterion compares the two.
     """
-    direct = f.unit_preimage_members == f.source.unit_indices
-    radical = f.kernel_members <= jacobson_radical(f.source).members
-    assert direct == radical, "unit-reflection and radical criteria disagree"
-    return direct
+    return f.unit_preimage_members == f.source.unit_indices
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +227,19 @@ def product_decompose_poset(prod: FiniteRing) -> PosetIso:
     """Split each pair over R1 x R2 into a pair-or-TOP per factor.
 
     Each ideal of the product is a product ideal I1 x I2; an improper
-    factor corresponds to TOP on that side.  The map is verified to be an
-    order isomorphism before it is returned.
+    factor corresponds to TOP on that side.  The oracle claim product-poset
+    checks that the map is an order isomorphism.
     """
     r1, r2 = product_factors(prod)
     n2 = r2.size
-    bar = hom_poset(prod, adjoin_top=True)
-    p1bar = hom_poset(r1, adjoin_top=True)
-    p2bar = hom_poset(r2, adjoin_top=True)
     forward = {TOP: (TOP, TOP)}
-    for p in bar.elements:
+    for p in hom_poset(prod).elements:
         i1 = frozenset(i // n2 for i in p.ideal)
         i2 = frozenset(i % n2 for i in p.ideal)
-        assert len(p.ideal) == len(i1) * len(i2), "product ideal must split"
         x1 = TOP if r1.one in i1 else least_of_fiber(r1, i1)
         x2 = TOP if r2.one in i2 else least_of_fiber(r2, i2)
         forward[p] = (x1, x2)
     backward = {v: k for k, v in forward.items()}
-    assert len(backward) == len(forward), "factor split must be injective"
-    assert len(forward) == len(p1bar) * len(p2bar), "factor split must be onto"
-
-    def pair_leq(a, b):
-        return leq(a[0], b[0]) and leq(a[1], b[1])
-
-    for x in bar:
-        for y in bar:
-            assert leq(x, y) == pair_leq(forward[x], forward[y]), (
-                f"order not preserved at {x}, {y}"
-            )
     return PosetIso(prod, r1, r2, forward, backward)
 
 
@@ -288,7 +269,8 @@ def maximality_chain(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> MaximalityR
     Division pairs come from morphisms into finite fields (finite division
     rings are fields); a kernel supports one exactly when the quotient is a
     field, so scanning field orders up to the ring size is complete.  The
-    chain division <= completely prime <= maximal is asserted.
+    oracle claim max-spec checks the chain division <= completely prime <=
+    maximal.
     """
     limit = min(ring.size, caps.morphism_search, caps.table_size)
     division = set()
@@ -305,19 +287,14 @@ def maximality_chain(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> MaximalityR
     for ideal in proper_ideals(ring):
         if is_completely_prime(ring, ideal):
             cpr.add(least_of_fiber(ring, ideal))
-            # complement is exactly the unit preimage for a complete prime
-            assert least_of_fiber(ring, ideal).mset == ring.index_set - ideal.members, (
-                f"M over the complete prime {sorted(ideal.members)} is not its complement")
     mx = max_elements(hom_poset(ring))
-    report = MaximalityReport(
+    return MaximalityReport(
         ring,
         tuple(sorted(division, key=HomPair.sort_key)),
         tuple(sorted(cpr, key=HomPair.sort_key)),
         tuple(sorted(mx, key=HomPair.sort_key)),
         tuple(orders),
     )
-    assert report.chain_holds, f"containment chain fails over {ring_label(ring)}"
-    return report
 
 
 def _prime_power(q: int):
@@ -336,22 +313,14 @@ def _prime_power(q: int):
 def spec_correspondence(ring: FiniteRing) -> tuple:
     """Prime ideals paired with the maximal elements they induce.
 
-    Commutative rings only.  Each prime P maps to (P, complement of P) and
-    the collection is exactly the set of maximal pairs; both directions are
-    asserted.
+    Commutative rings only.  Each prime P maps to (P, complement of P), and
+    the collection is exactly the set of maximal pairs; the oracle claim
+    max-spec checks both.
     """
     if not ring.is_commutative:
         raise NotCommutative(ring_label(ring))
-    table = []
-    carrier = frozenset(range(ring.size))
-    for ideal in proper_ideals(ring):
-        if is_completely_prime(ring, ideal):
-            pair = least_of_fiber(ring, ideal)
-            assert pair.mset == carrier - ideal.members, (
-                f"M over the prime {sorted(ideal.members)} is not its complement")
-            table.append((ideal, pair))
-    mx = set(max_elements(hom_poset(ring)))
-    assert {p for _, p in table} == mx, "primes and maximal pairs must agree"
+    table = [(ideal, least_of_fiber(ring, ideal)) for ideal in proper_ideals(ring)
+             if is_completely_prime(ring, ideal)]
     table.sort(key=lambda t: t[1].sort_key())
     return tuple(table)
 
@@ -381,8 +350,6 @@ def limit_exchange_check(rings, maps, caps: Caps = DEFAULT_CAPS) -> LimitExchang
     be a bijection onto the compatible tuples and an order isomorphism for
     the componentwise order.
     """
-    import itertools
-
     last, composites = direct_limit_chain(rings, maps)
     stage_posets = [hom_poset(r) for r in rings]
     stage_maps = [hom_functor(f) for f in maps]  # Hom(R_{i+1}) -> Hom(R_i)

@@ -24,7 +24,9 @@ from .errors import (
     CapExceeded,
     ImproperIdeal,
     NotAnIdeal,
+    NotAProduct,
     NotASubmonoid,
+    NotComposable,
     NotPrime,
     RingMismatch,
     ZeroRingExcluded,
@@ -416,8 +418,6 @@ def identity_morphism(ring: FiniteRing) -> RingMorphism:
 
 def compose(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
     """outer after inner.  Targets and sources must chain up to table equality."""
-    from .errors import NotComposable
-
     if inner.target != outer.source:
         raise NotComposable("inner target differs from outer source")
     images = tuple(outer.images[y] for y in inner.images)
@@ -808,8 +808,6 @@ def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> F
 
 def product_factors(ring: FiniteRing):
     if ring.provenance[0] != "product":
-        from .errors import NotAProduct
-
         raise NotAProduct(ring_label(ring))
     return ring.provenance[1], ring.provenance[2]
 

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Static checks on the package source: every module-level import is used,
+and no check lives in an assert statement, which python -O strips."""
 import ast
 from pathlib import Path
 
@@ -36,3 +37,23 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def assert_lines(source: str) -> list:
+    """Line of each assert statement, nested ones included."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+def test_assert_statements_are_found():
+    source = "x = 1\nassert x\ndef f():\n    assert not x, 'no'\n    raise AssertionError\n"
+    assert assert_lines(source) == [2, 4]
+
+
+def test_no_assert_statements_in_the_package():
+    # the library computes and the oracle checks, under any interpreter flags
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in assert_lines(path.read_text())
+    ]
+    assert found == []

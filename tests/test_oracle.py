@@ -1,5 +1,9 @@
 """The independent claim battery: catalog, search, reporting, injection."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from homposet import oracle, poset, rings
 from homposet.morphisms import enumerate_morphisms
@@ -240,3 +244,79 @@ def test_claim_exception_is_its_witness(monkeypatch):
     assert bad.witness == "RuntimeError in crash: boom"
     assert len(report.claims) == len(CLAIMS) and not report.ok
 
+
+
+# Faults injected into a fresh interpreter; prints the faulty report, one
+# witness per single-claim fault, and the interpreter's optimize flag.
+FAULT_RUN = """
+import json, sys
+from dataclasses import replace
+from homposet import oracle, poset, rings
+from homposet.oracle import build_catalog, verify_theorems
+from homposet.pairs import TOP
+from homposet.rings import identity_morphism
+
+catalog = build_catalog(8)
+units_plus, finite_field = poset._units_plus, rings._finite_field
+poset._units_plus = lambda ring, imembers: ring.unit_indices
+rings._finite_field = finite_field.__wrapped__
+fault = verify_theorems(build_catalog(8)).render_text()
+poset._units_plus, rings._finite_field = units_plus, finite_field
+
+decompose = oracle.product_decompose_poset
+factorize = oracle.canonical_factorization
+corestrict = oracle.epimorphic_corestriction
+faults = {
+    "product-poset": ("product_decompose_poset", lambda prod: replace(
+        decompose(prod), forward=dict.fromkeys(decompose(prod).forward, (TOP, TOP)))),
+    "max-spec": ("spec_correspondence", lambda ring: ()),
+    "corestriction-epi": ("epimorphic_corestriction", lambda f: replace(
+        corestrict(f), corestriction=identity_morphism(f.source))),
+    "factor-stages": ("canonical_factorization",
+                      lambda f: factorize(identity_morphism(f.source))),
+    "local-criterion": ("is_local_morphism", lambda f: True),
+}
+witnesses = {}
+for key, (name, faulty) in faults.items():
+    kept = getattr(oracle, name)
+    setattr(oracle, name, faulty)
+    (claim,) = verify_theorems(catalog, only=key).claims
+    setattr(oracle, name, kept)
+    witnesses[key] = claim.witness
+print(json.dumps({"optimize": sys.flags.optimize, "fault": fault, "witnesses": witnesses}))
+"""
+
+
+def _fault_run(*flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, *flags, "-c", FAULT_RUN],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_faults_are_caught_under_python_O():
+    # every claim detects its failures without assert statements, so -O
+    # changes nothing: same report, same witnesses
+    plain, optimized = _fault_run(), _fault_run("-O")
+    assert (plain.pop("optimize"), optimized.pop("optimize")) == (0, 1)
+    assert optimized == plain
+    lines = optimized["fault"].splitlines()
+    assert lines[-1] == "17/25 claims hold"
+    at = lines.index(next(l for l in lines if l.startswith("FAIL max-spec:")))
+    assert lines[at + 1] == (
+        "     witness: Z/6: M over the complete prime [0, 3] is not its complement"
+    )
+    # each single-claim fault is caught by a check, not by an exception
+    assert optimized["witnesses"] == {
+        "product-poset": "Z/2 x Z/2: product ideal does not split",
+        "max-spec": "Z/2: primes and maximal pairs disagree",
+        "corestriction-epi":
+            "corestriction of RingMorphism(Z/4 -> Z/2, [0, 1, 0, 1]) changes the kernel",
+        "factor-stages":
+            "stages of RingMorphism(Z/2 -> GF(4), [0, 1]) do not compose back",
+        "local-criterion": "RingMorphism(Z/6 -> Z/2, [0, 1, 0, 1, 0, 1]): "
+                           "unit reflection and the radical criterion disagree",
+    }
