@@ -100,7 +100,7 @@ def _morphisms_cached(src: FiniteRing, tgt: FiniteRing) -> tuple:
                 search(level + 1)
             else:
                 # the last span is the whole ring, so f was just checked there
-                found.append(RingMorphism(src, tgt, f, check=False))
+                found.append(RingMorphism._trusted(src, tgt, f))
 
     search(0)
     found.sort(key=lambda g: g.images)
@@ -232,8 +232,8 @@ def decompose_product_morphism(f: RingMorphism) -> ProductDecomposition:
     loc2 = {x: i for i, x in enumerate(members2)}
     img1 = tuple(loc1[f.images[a * n2 + r2.zero]] for a in range(r1.size))
     img2 = tuple(loc2[f.images[r1.zero * n2 + b]] for b in range(n2))
-    g1 = RingMorphism(r1, c1, img1, check=(c1.size > 1))
-    g2 = RingMorphism(r2, c2, img2, check=(c2.size > 1))
+    g1 = RingMorphism(r1, c1, img1)
+    g2 = RingMorphism(r2, c2, img2)
     return ProductDecomposition(f, e, c1, c2, tuple(members1), tuple(members2), g1, g2)
 
 

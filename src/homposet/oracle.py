@@ -33,6 +33,7 @@ from .morphisms import (
 )
 from .pairs import (
     TOP,
+    HomPair,
     leq,
     meet,
     pair_of_morphism,
@@ -63,6 +64,7 @@ from .rings import (
     identity_morphism,
     is_completely_prime,
     is_directly_finite,
+    is_field,
     is_saturated,
     jacobson_radical,
     make_finite_field,
@@ -404,10 +406,14 @@ def _claim_prime_pairs_maximal(ctx):
 
 
 def _claim_max_spec(ctx):
+    # the catalog has a field of every prime-power order up to the bound, and
+    # a morphism into a division ring (a finite field, by Wedderburn) has the
+    # pair of its corestriction to the image, a field no larger than r
+    fields = tuple(r for r in ctx.rings if is_field(r))
     checked = 0
     for r in ctx.rings:
         checked += 1
-        report = maximality_chain(r, caps=ctx.caps)
+        report = maximality_chain(r)
         for p in report.completely_prime_pairs:
             if p.mset != r.index_set - p.ideal:
                 return checked, (
@@ -420,6 +426,16 @@ def _claim_max_spec(ctx):
             {p for _, p in spec_correspondence(r)} != set(report.maximal_pairs)
         ):
             return checked, f"{ring_label(r)}: primes and maximal pairs disagree"
+        searched = {
+            pair_of_morphism(f)
+            for t in fields if t.size <= r.size
+            for f in ctx.morphisms(r, t)
+        }
+        if report.division_pairs != tuple(sorted(searched, key=HomPair.sort_key)):
+            return checked, (
+                f"{ring_label(r)}: division pairs differ from the pairs of "
+                "morphisms into fields"
+            )
     return checked, None
 
 
@@ -504,7 +520,7 @@ def _claim_universal_contract(ctx):
     for r in ctx.rings:
         for p in hom_poset(r).elements:
             checked += 1
-            loc = universal_inverting_finite(r, p, ctx.caps)
+            loc = universal_inverting_finite(r, p)
             if pair_of_morphism(loc.canonical) != p:
                 return checked, (
                     f"universal morphism for a pair over {ring_label(r)} has the "
@@ -518,16 +534,15 @@ def _claim_universal_contract(ctx):
 def _claim_universal_factor(ctx):
     checked = 0
     for r in ctx.small_rings:
-        poset = hom_poset(r)
+        locs = [(p, universal_inverting_finite(r, p)) for p in hom_poset(r).elements]
         for s in ctx.small_rings:
             for f in ctx.morphisms(r, s):
                 fp = pair_of_morphism(f)
-                for p in poset.elements:
-                    loc = universal_inverting_finite(r, p, ctx.caps)
+                for p, loc in locs:
                     if leq(p, fp):
                         checked += 1
                         try:
-                            g = factor_through(loc.canonical, f, ctx.caps)
+                            g = factor_through(loc.canonical, f)
                         except NoFactorization:
                             return checked, (
                                 f"no factorization of {f!r} through the universal "
@@ -545,7 +560,7 @@ def _claim_universal_factor(ctx):
                     else:
                         checked += 1
                         try:
-                            factor_through(loc.canonical, f, ctx.caps)
+                            factor_through(loc.canonical, f)
                             return checked, (
                                 f"factorization of {f!r} through an unrelated pair "
                                 "should not exist"
@@ -567,7 +582,7 @@ def _claim_corestriction_epi(ctx):
                     return checked, f"corestriction of {f!r} changes the kernel"
                 if g.unit_preimage_members != f.unit_preimage_members:
                     return checked, f"corestriction of {f!r} changes the unit preimage"
-                if not co.is_epi:
+                if not is_ring_epimorphism(g):
                     return checked, f"corestriction of {f!r} is not epi"
     return checked, None
 
@@ -639,7 +654,7 @@ def _claim_limit_exchange(ctx):
     ]
     for rings, maps in chains:
         checked += 1
-        report = limit_exchange_check(rings, maps, ctx.caps)
+        report = limit_exchange_check(rings, maps)
         if not report.ok:
             labels = " -> ".join(ring_label(r) for r in rings)
             return checked, f"poset of the last stage is not the limit along {labels}"

@@ -18,17 +18,14 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .config import Caps, DEFAULT_CAPS
 from .errors import ImproperIdeal, NotCommutative, RingMismatch
-from .morphisms import direct_limit_chain, enumerate_morphisms
-from .pairs import TOP, HomPair, leq, pair_of_morphism
+from .morphisms import direct_limit_chain
+from .pairs import TOP, HomPair, leq
 from .rings import (
     FiniteRing,
     Ideal,
     RingMorphism,
     is_completely_prime,
-    is_prime,
-    make_finite_field,
     per_ring,
     product_factors,
     proper_ideals,
@@ -253,7 +250,6 @@ class MaximalityReport:
     division_pairs: tuple
     completely_prime_pairs: tuple
     maximal_pairs: tuple
-    field_orders_scanned: tuple
 
     @property
     def chain_holds(self) -> bool:
@@ -263,51 +259,31 @@ class MaximalityReport:
         return dv <= cp <= mx
 
 
-def maximality_chain(ring: FiniteRing, caps: Caps = DEFAULT_CAPS) -> MaximalityReport:
-    """Division pairs, completely prime pairs, and maximal pairs, in one scan.
+def maximality_chain(ring: FiniteRing) -> MaximalityReport:
+    """Division pairs, completely prime pairs, and maximal pairs, from the core.
 
-    Division pairs come from morphisms into finite fields (finite division
-    rings are fields); a kernel supports one exactly when the quotient is a
-    field, so scanning field orders up to the ring size is complete.  The
-    oracle claim max-spec checks the chain division <= completely prime <=
-    maximal.
+    A division pair is the pair of a morphism into a division ring, whose
+    unit preimage is all of R outside the kernel I.  Over a finite ring
+    that pair is (I, U(R)+I), so the division pairs are the pairs whose M
+    is the complement of I, and for each of them R/I is a division ring:
+    every nonzero class is a unit.  A finite division ring is a field
+    (Wedderburn), so these are also the pairs of morphisms into finite
+    fields.  The oracle claim max-spec finds them again by searching for
+    morphisms into its fields, and checks the chain division <= completely
+    prime <= maximal.
     """
-    limit = min(ring.size, caps.morphism_search, caps.table_size)
-    division = set()
-    orders = []
-    for q in range(2, limit + 1):
-        p, k = _prime_power(q)
-        if p is None:
-            continue
-        orders.append(q)
-        target = make_finite_field(p, k, caps)
-        for f in enumerate_morphisms(ring, target, caps):
-            division.add(pair_of_morphism(f))
+    poset = hom_poset(ring)
+    division = tuple(p for p in poset.elements if p.mset == ring.index_set - p.ideal)
     cpr = set()
     for ideal in proper_ideals(ring):
         if is_completely_prime(ring, ideal):
             cpr.add(least_of_fiber(ring, ideal))
-    mx = max_elements(hom_poset(ring))
     return MaximalityReport(
         ring,
-        tuple(sorted(division, key=HomPair.sort_key)),
+        division,
         tuple(sorted(cpr, key=HomPair.sort_key)),
-        tuple(sorted(mx, key=HomPair.sort_key)),
-        tuple(orders),
+        max_elements(poset),
     )
-
-
-def _prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                return None, None
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            return (p, k) if q == 1 else (None, None)
-    return None, None
 
 
 def spec_correspondence(ring: FiniteRing) -> tuple:
@@ -341,7 +317,7 @@ class LimitExchangeReport:
         return self.is_bijection and self.is_order_iso
 
 
-def limit_exchange_check(rings, maps, caps: Caps = DEFAULT_CAPS) -> LimitExchangeReport:
+def limit_exchange_check(rings, maps) -> LimitExchangeReport:
     """Check Hom(last stage) against the inverse limit of the stage posets.
 
     A chain R0 -> ... -> Rn induces restriction maps between the pair

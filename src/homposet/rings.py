@@ -334,23 +334,32 @@ def _preserves(src: FiniteRing, tgt: FiniteRing, f, elems, basis, gens):
 class RingMorphism:
     """Unit-preserving ring morphism stored as an image tuple.
 
-    images[i] is the target index of source element i.  Construction checks
-    preservation of 0, 1, + and x unless check=False is passed by internal
-    callers that compose already-validated morphisms.  + is checked against
+    images[i] is the target index of source element i.  The public
+    constructor checks preservation of 0, 1, + and x.  + is checked against
     the source's additive basis and x against its generators, which decides
-    preservation exactly because both rings satisfy the ring axioms.
+    preservation exactly because both rings satisfy the ring axioms.  Maps a
+    theorem already guarantees, such as composites of morphisms, come from
+    _trusted and skip the check.
     """
 
     source: FiniteRing
     target: FiniteRing
     images: tuple
 
-    def __init__(self, source, target, images, check: bool = True):
+    def __init__(self, source, target, images):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", tuple(images))
-        if check:
-            self._validate()
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, source, target, images):
+        """A morphism a theorem guarantees, built without the check."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "images", tuple(images))
+        return f
 
     def _validate(self):
         src, tgt, f = self.source, self.target, self.images
@@ -413,7 +422,7 @@ class RingMorphism:
 
 
 def identity_morphism(ring: FiniteRing) -> RingMorphism:
-    return RingMorphism(ring, ring, tuple(range(ring.size)), check=False)
+    return RingMorphism._trusted(ring, ring, range(ring.size))
 
 
 def compose(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
@@ -422,7 +431,7 @@ def compose(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
         raise NotComposable("inner target differs from outer source")
     images = tuple(outer.images[y] for y in inner.images)
     # composite of valid morphisms needs no re-validation
-    return RingMorphism(inner.source, outer.target, images, check=False)
+    return RingMorphism._trusted(inner.source, outer.target, images)
 
 
 def kernel(f: RingMorphism) -> Ideal:
@@ -855,8 +864,8 @@ def make_quotient(ring: FiniteRing, ideal: Ideal):
         qadd, qmul, qidx[rep[ring.zero]], qidx[rep[ring.one]],
         ("quotient", ring, tuple(sorted(members))),
     )
-    projection = RingMorphism(
-        ring, quotient, tuple(qidx[rep[x]] for x in range(ring.size)), check=False
+    projection = RingMorphism._trusted(
+        ring, quotient, (qidx[rep[x]] for x in range(ring.size))
     )
     return quotient, projection
 

@@ -199,7 +199,7 @@ def test_07_stage_factorization(capsys, battery):
         assert fact.composite() == emb
         assert is_ring_epimorphism(fact.collapse)
         co = epimorphic_corestriction(emb)
-        assert co.is_epi
+        assert is_ring_epimorphism(co.corestriction)
         assert pair_of_morphism(co.corestriction) == pair_of_morphism(emb)
 
 

@@ -1,5 +1,6 @@
 """Static checks on the package source: every module-level import is used,
-and no check lives in an assert statement, which python -O strips."""
+no check lives in an assert statement, which python -O strips, and only the
+oracle searches for morphisms or runs the tensor epimorphism test."""
 import ast
 from pathlib import Path
 
@@ -55,5 +56,38 @@ def test_no_assert_statements_in_the_package():
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line in assert_lines(path.read_text())
+    ]
+    assert found == []
+
+
+SEARCHES = {"enumerate_morphisms", "is_ring_epimorphism"}
+
+
+def names_in(source: str) -> set:
+    """Every identifier the source reads, imports or takes as an attribute."""
+    names = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_names_are_found():
+    source = "from .m import a as b\nimport c\nc.d(e)\n"
+    assert names_in(source) == {"a", "c", "d", "e"}
+
+
+def test_only_the_oracle_searches():
+    # the library derives from the ideal core; morphisms.py defines the
+    # search and the epi test, and __init__.py only re-exports them
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("oracle.py", "morphisms.py", "__init__.py")
+        for name in sorted(names_in(path.read_text()) & SEARCHES)
     ]
     assert found == []

@@ -104,6 +104,15 @@ def test_factor_through_strict_inequality():
         factor_through(morphism(6, 2), pi2)
 
 
+def test_factor_through_needs_a_surjection():
+    # the embedding GF(2) -> GF(4) lies below itself, and the identity of
+    # GF(4) factors it, but factor_through asks psi to be onto
+    f2, f4 = make_finite_field(2, 1), make_finite_field(2, 2)
+    (emb,) = enumerate_morphisms(f2, f4)
+    with pytest.raises(NoFactorization):
+        factor_through(emb, emb)
+
+
 def test_localize_integer_modular():
     ring = localize_integer_pair(z_modular(12))
     assert ring == make_zmod(12)
@@ -187,7 +196,7 @@ def test_corestriction_preserves_pair():
     f2, f4 = make_finite_field(2, 1), make_finite_field(2, 2)
     (emb,) = enumerate_morphisms(f2, f4)
     co = epimorphic_corestriction(emb)
-    assert co.is_epi
+    assert is_ring_epimorphism(co.corestriction)
     assert co.corestriction.is_surjective
     assert co.corestriction.kernel_members == emb.kernel_members
     assert co.corestriction.unit_preimage_members == emb.unit_preimage_members
@@ -208,7 +217,7 @@ def test_corestriction_matrix_unit_scalars():
     f = enumerate_morphisms(f4, m2)[0]
     co = epimorphic_corestriction(f)
     assert co.image_ring.size == 4
-    assert co.is_epi
+    assert is_ring_epimorphism(co.corestriction)
     assert co.corestriction.is_injective and co.corestriction.is_surjective
 
 

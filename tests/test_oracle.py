@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from homposet import oracle, poset, rings
@@ -230,6 +231,19 @@ def test_oracle_catches_a_core_fault_in_unchecked_pairs(monkeypatch):
     square = make_product(gf4, gf4)
     (f, *_) = enumerate_morphisms(gf4, square)
     assert hom_poset(f.target) == hom_poset(square)
+
+
+def test_max_spec_searches_for_the_division_pairs(monkeypatch):
+    # division pairs that are missing still form a chain, so only the
+    # claim's search into the catalog fields can notice
+    chain = oracle.maximality_chain
+    monkeypatch.setattr(oracle, "maximality_chain",
+                        lambda ring: replace(chain(ring), division_pairs=()))
+    (claim,) = verify_theorems(build_catalog(8), only="max-spec").claims
+    assert not claim.ok and claim.checked == 1
+    assert claim.witness == (
+        "Z/2: division pairs differ from the pairs of morphisms into fields"
+    )
 
 
 def test_claim_exception_is_its_witness(monkeypatch):

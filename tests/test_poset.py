@@ -308,7 +308,6 @@ def test_maximality_chain_matrix_ring():
     assert rep.completely_prime_pairs == ()
     assert len(rep.maximal_pairs) == 1
     assert rep.chain_holds
-    assert 16 in rep.field_orders_scanned
 
 
 def test_spec_correspondence_z12():
