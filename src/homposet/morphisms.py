@@ -210,10 +210,16 @@ class ProductDecomposition:
     to_corner2: RingMorphism
 
 
+@per_ring
 def _corner(parent: FiniteRing, e: int):
-    mul = parent.mul_table
-    members = sorted({mul[mul[e][x]][e] for x in range(parent.size)})
-    ring, carrier = subring(parent, members, one=e, allow_trivial=True)
+    """The corner ring e.S.e on its members, built once per idempotent of S."""
+    if e == parent.one:
+        # 1.S.1 is S: share its tables rather than keep a copy on S
+        ring, carrier = parent, tuple(range(parent.size))
+    else:
+        mul = parent.mul_table
+        members = sorted({mul[mul[e][x]][e] for x in range(parent.size)})
+        ring, carrier = subring(parent, members, one=e, allow_trivial=True)
     ring = FiniteRing(ring.size, ring.add_table, ring.mul_table, ring.zero,
                       ring.one, ("corner", parent, carrier))
     return ring, carrier

@@ -274,14 +274,10 @@ def maximality_chain(ring: FiniteRing) -> MaximalityReport:
     """
     poset = hom_poset(ring)
     division = tuple(p for p in poset.elements if p.mset == ring.index_set - p.ideal)
-    cpr = set()
-    for ideal in proper_ideals(ring):
-        if is_completely_prime(ring, ideal):
-            cpr.add(least_of_fiber(ring, ideal))
     return MaximalityReport(
         ring,
         division,
-        tuple(sorted(cpr, key=HomPair.sort_key)),
+        tuple(pair for _, pair in _complete_primes(ring)),
         max_elements(poset),
     )
 
@@ -295,6 +291,13 @@ def spec_correspondence(ring: FiniteRing) -> tuple:
     """
     if not ring.is_commutative:
         raise NotCommutative(ring_label(ring))
+    return _complete_primes(ring)
+
+
+@per_ring
+def _complete_primes(ring: FiniteRing) -> tuple:
+    """(ideal, least pair over it) for each completely prime ideal, in pair
+    order: the one scan that maximality_chain and spec_correspondence share."""
     table = [(ideal, least_of_fiber(ring, ideal)) for ideal in proper_ideals(ring)
              if is_completely_prime(ring, ideal)]
     table.sort(key=lambda t: t[1].sort_key())

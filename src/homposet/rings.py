@@ -103,16 +103,14 @@ class FiniteRing:
 
     @cached_property
     def unit_indices(self) -> frozenset:
+        # In an associative ring a unit's right inverse is unique, so the
+        # first 1 in its row is its two-sided inverse, and a non-unit fails
+        # the second test.  Tables here are trusted or axiom-checked, and the
+        # oracle claim regular-units re-derives the set.
         one = self.one
         mul = self.mul_table
-        out = []
-        for a in range(self.size):
-            row = mul[a]
-            for b in range(self.size):
-                if row[b] == one and mul[b][a] == one:
-                    out.append(a)
-                    break
-        return frozenset(out)
+        return frozenset(a for a, row in enumerate(mul)
+                         if one in row and mul[row.index(one)][a] == one)
 
     @cached_property
     def additive_orders(self) -> tuple:
@@ -1017,12 +1015,15 @@ class _Subgroup:
     def extend(self, c: int) -> bool:
         """Grow H to H + <c> by adjoining the cosets c + H, 2c + H, ...
 
-        Returns False when c already lies in H.
+        Returns False when c already lies in H.  Raises ValueError once H
+        outgrows the ring, which only a table that is not a group can do:
+        there the cosets need never close.
         """
         inside, elems, add = self.inside, self.elems, self.ring.add_table
         if inside[c]:
             return False
         old = tuple(elems)
+        size = self.ring.size
         t = c
         while not inside[t]:
             row = add[t]
@@ -1030,6 +1031,8 @@ class _Subgroup:
                 y = row[h]
                 inside[y] = 1
                 elems.append(y)
+            if len(elems) > size:
+                raise ValueError("addition table is not a group")
             t = row[c]
         self.basis.append(c)
         return True

@@ -1,6 +1,8 @@
 """Morphism search, epimorphism obstruction, corners, denominators."""
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,3 +352,17 @@ def test_pairs_of_morphisms_are_disjoint_components(n, m):
     for f in enumerate_morphisms(make_zmod(n), make_zmod(m)):
         assert not (f.kernel_members & f.unit_preimage_members)
         assert f.images[0] == 0 and f.images[1] == 1
+
+
+def test_corner_memo_lives_on_the_target_and_dies_with_it():
+    prod = make_product(make_zmod(2), make_zmod(3))
+    target = make_zmod(6)
+    f = enumerate_morphisms(prod, target)[0]
+    dec = decompose_product_morphism(f)
+    again = decompose_product_morphism(f)
+    assert again.corner1 is dec.corner1 and again.corner2 is dec.corner2
+    refs = [weakref.ref(x) for x in (target, dec.corner1, dec.corner2)]
+    # the search memo on prod is keyed by the target, so both must go
+    del prod, target, f, dec, again
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]

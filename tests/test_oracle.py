@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from homposet import oracle, poset, rings
+from homposet import morphisms, oracle, poset, rings
 from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import (
     CLAIMS,
@@ -16,6 +17,7 @@ from homposet.oracle import (
     verify_hom_construction,
     verify_theorems,
 )
+from homposet.pairs import pair_of_morphism
 from homposet.poset import hom_poset
 from homposet.rings import (
     make_finite_field,
@@ -334,3 +336,104 @@ def test_faults_are_caught_under_python_O():
         "local-criterion": "RingMorphism(Z/6 -> Z/2, [0, 1, 0, 1, 0, 1]): "
                            "unit reflection and the radical criterion disagree",
     }
+
+
+# Each claim derives each distinct thing once: counting spies at bound 16.
+
+
+def _all_morphisms(catalog):
+    """Every catalog morphism, in the order the battery walks them."""
+    return [f for src in catalog.rings for tgt in catalog.rings
+            for f in enumerate_morphisms(src, tgt)]
+
+
+def test_pair_invariants_validates_each_distinct_pair_once(monkeypatch):
+    catalog = build_catalog(16)
+    validated, translated = [], []
+    validate, translate = oracle.validate_pair, oracle.radical_translation_holds
+    monkeypatch.setattr(oracle, "validate_pair", lambda ring, i, m: (
+        validated.append((ring, i, m)) or validate(ring, i, m)))
+    monkeypatch.setattr(oracle, "radical_translation_holds", lambda ring, pair: (
+        translated.append(pair) or translate(ring, pair)))
+    (claim,) = verify_theorems(catalog, only="pair-invariants").claims
+    fs = _all_morphisms(catalog)
+    distinct = {(f.source, f.kernel_members, f.unit_preimage_members) for f in fs}
+    assert claim.ok and claim.checked == len(fs)
+    assert len(distinct) < len(fs)
+    assert len(validated) == len(translated) == len(distinct)
+    assert set(validated) == distinct
+
+
+def test_pair_invariants_reports_the_first_morphism_with_a_failing_pair(monkeypatch):
+    catalog = build_catalog(16)
+    fs = _all_morphisms(catalog)
+    # a pair that several morphisms share, chosen through its last morphism
+    pairs = [pair_of_morphism(f) for f in fs]
+    shared = Counter(pairs)
+    last = max(i for i, p in enumerate(pairs) if shared[p] > 1)
+    bad = pairs[last]
+    first = pairs.index(bad)
+    assert first < last
+    holds = oracle.radical_translation_holds
+    monkeypatch.setattr(oracle, "radical_translation_holds",
+                        lambda ring, pair: pair != bad and holds(ring, pair))
+    (claim,) = verify_theorems(catalog, only="pair-invariants").claims
+    assert not claim.ok
+    assert claim.checked == first + 1
+    assert claim.witness == f"pair of {fs[first]!r} not stable under radical translation"
+
+
+def test_functor_laws_pulls_back_along_each_morphism_once(monkeypatch):
+    catalog = build_catalog(16)
+    built = []
+    functor = oracle.hom_functor
+    monkeypatch.setattr(oracle, "hom_functor", lambda f: built.append(f) or functor(f))
+    (claim,) = verify_theorems(catalog, only="functor-laws").claims
+    small = [r for r in catalog.rings if r.size <= 9]
+    homs = {(r, s): enumerate_morphisms(r, s) for r in small for s in small}
+    composites = sum(len(homs[r, s]) * len(homs[s, t])
+                     for r in small for s in small for t in small)
+    # every morphism between small rings, identities included, once; every
+    # composite afresh, since the composite law is what is tested
+    assert claim.ok
+    assert len(built) == sum(map(len, homs.values())) + composites
+
+
+def test_corner_split_builds_each_corner_once(monkeypatch):
+    # fresh fields, so no corner is left on a shared ring by an earlier run
+    monkeypatch.setattr(rings, "_finite_field", rings._finite_field.__wrapped__)
+    catalog = build_catalog(16)
+    built = []
+
+    def counted(size, add, mul, zero, one, provenance):
+        _, parent, carrier = provenance
+        built.append((parent, carrier[one]))
+        return rings.FiniteRing(size, add, mul, zero, one, provenance)
+
+    monkeypatch.setattr(morphisms, "FiniteRing", counted)
+    (claim,) = verify_theorems(catalog, only="corner-split").claims
+    corners = set()
+    for prod in catalog.rings:
+        if prod.provenance[0] != "product":
+            continue
+        r1, r2 = rings.product_factors(prod)
+        for s in catalog.rings:
+            for f in enumerate_morphisms(prod, s):
+                e = f.images[r1.one * r2.size + r2.zero]
+                corners |= {(s, e), (s, s.sub(s.one, e))}
+    assert claim.ok and claim.checked > len(corners)
+    assert len(built) == len(set(built)) == len(corners)
+    assert set(built) == corners
+
+
+def test_join_quotient_closes_each_union_once(monkeypatch):
+    catalog = build_catalog(16)
+    closed = []
+    generate = oracle.ideal_generated_by
+    monkeypatch.setattr(oracle, "ideal_generated_by", lambda ring, gens: (
+        closed.append((ring, frozenset(gens))) or generate(ring, gens)))
+    (claim,) = verify_theorems(catalog, only="join-quotient").claims
+    unions = {(r, p.ideal | q.ideal) for r in catalog.rings
+              for p in hom_poset(r).elements for q in hom_poset(r).elements}
+    assert claim.ok and claim.checked > len(unions)
+    assert len(closed) == len(set(closed)) == len(unions)

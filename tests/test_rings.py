@@ -1091,3 +1091,33 @@ def test_product_tables_match_reference():
         for r2 in rings[i:]:
             wide = Caps(table_size=r1.size * r2.size)
             assert make_product(r1, r2, wide) == reference_make_product(r1, r2), (r1, r2)
+
+
+def test_unit_indices_match_pairwise_definition():
+    wide = Caps(table_size=256)
+    rings = list(build_catalog(32).rings) + [
+        parse_ring("matrix:2:zmod:3", wide), parse_ring("product:zmod:8:zmod:16", wide),
+    ]
+    for ring in rings:
+        mul, one, n = ring.mul_table, ring.one, ring.size
+        pairwise = frozenset(a for a in range(n)
+                             if any(mul[a][b] == one == mul[b][a] for b in range(n)))
+        assert ring.unit_indices == pairwise, ring
+
+
+def test_addition_table_that_is_not_a_group_fails_at_once():
+    # make_product's comprehension with its two loops swapped: the rows are
+    # no longer group rows, and before the bound a subgroup grew forever
+    r1, r2 = make_zmod(2), make_zmod(3)
+    n2 = r2.size
+
+    def rows(t1, t2):
+        return tuple(tuple(v * n2 + x for x in row2 for v in row1)
+                     for row1 in t1 for row2 in t2)
+
+    ring = FiniteRing(6, rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table),
+                      r1.zero * n2 + r2.zero, r1.one * n2 + r2.one)
+    with pytest.raises(ValueError, match="not a group"):
+        enumerate_ideals(ring)
+    with pytest.raises(ValueError, match="not a group"):
+        ideal_generated_by(ring, (1,))
