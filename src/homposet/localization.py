@@ -150,7 +150,13 @@ class Factorization:
 
 
 def canonical_factorization(f: RingMorphism) -> Factorization:
-    """Split f through its pair's localization and its image subring."""
+    """Split f through its pair's localization and its image subring.
+
+    collapse sends the class of x to f(x) in the image, well defined because
+    the kernel is f's, and embed is the inclusion of a subring, so both are
+    morphisms because f is and are built without a check.  The oracle claim
+    factor-stages runs the check.
+    """
     quotient, start = make_quotient(f.source, Ideal(f.source, f.kernel_members))
     invert = identity_morphism(quotient)
     image_ring, carrier = subring(f.target, f.image_members)
@@ -159,8 +165,8 @@ def canonical_factorization(f: RingMorphism) -> Factorization:
     collapse_images = [None] * quotient.size
     for q, y in zip(start.images, f.images):
         collapse_images[q] = local[y]
-    collapse = RingMorphism(quotient, image_ring, tuple(collapse_images))
-    embed = RingMorphism(image_ring, f.target, carrier)
+    collapse = RingMorphism._trusted(quotient, image_ring, collapse_images)
+    embed = RingMorphism._trusted(image_ring, f.target, carrier)
     return Factorization(f, quotient, start, invert, image_ring, carrier,
                          collapse, embed)
 
@@ -180,10 +186,12 @@ def epimorphic_corestriction(f: RingMorphism) -> Corestriction:
 
     The pair is unchanged: over finite rings an element of the image that
     is invertible in the big ring is already invertible in the subring, so
-    unit preimages agree, and kernels agree trivially.  Nothing here runs
-    the tensor epimorphism test: the oracle claim corestriction-epi does.
+    unit preimages agree, and kernels agree trivially.  The corestriction
+    is a morphism because f is, so it is built without a check.  Nothing
+    here runs the morphism check or the tensor epimorphism test: the oracle
+    claim corestriction-epi does.
     """
     image_ring, carrier = subring(f.target, f.image_members)
     local = {x: i for i, x in enumerate(carrier)}
-    g = RingMorphism(f.source, image_ring, tuple(local[y] for y in f.images))
+    g = RingMorphism._trusted(f.source, image_ring, [local[y] for y in f.images])
     return Corestriction(f, image_ring, carrier, g)

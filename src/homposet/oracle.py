@@ -601,6 +601,16 @@ def _claim_universal_factor(ctx):
     return checked, None
 
 
+def _morphism_problem(g):
+    """Why g fails the checked RingMorphism constructor, or None.  The
+    localization module builds its maps unchecked; this is their check."""
+    try:
+        RingMorphism(g.source, g.target, g.images)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
 def _claim_corestriction_epi(ctx):
     checked = 0
     for r in ctx.small_rings:
@@ -609,6 +619,9 @@ def _claim_corestriction_epi(ctx):
                 checked += 1
                 co = epimorphic_corestriction(f)
                 g = co.corestriction
+                problem = _morphism_problem(g)
+                if problem:
+                    return checked, f"corestriction of {f!r} is not a morphism: {problem}"
                 if g.kernel_members != f.kernel_members:
                     return checked, f"corestriction of {f!r} changes the kernel"
                 if g.unit_preimage_members != f.unit_preimage_members:
@@ -625,6 +638,10 @@ def _claim_factor_stages(ctx):
             for f in ctx.morphisms(r, s):
                 checked += 1
                 fact = canonical_factorization(f)
+                for stage, g in (("collapse", fact.collapse), ("embedding", fact.embed)):
+                    problem = _morphism_problem(g)
+                    if problem:
+                        return checked, f"{stage} stage of {f!r} is not a morphism: {problem}"
                 if fact.composite() != f:
                     return checked, f"stages of {f!r} do not compose back"
                 collapse = fact.collapse

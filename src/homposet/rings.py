@@ -14,6 +14,7 @@ allow_trivial=True.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, wraps
 from operator import getitem, itemgetter
@@ -593,7 +594,10 @@ def _table_generators(n: int, zero: int, tables) -> list:
 def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Integers modulo n, carrier 0..n-1.
 
-    Addition row a is 0..n-1 rotated left by a, built by slicing.
+    Addition row a is 0..n-1 rotated left by a, built by slicing.  When
+    a = b*c with b the least prime factor of a, multiplication row a is row
+    b read at row c, since a*y = b*(c*y) mod n; rows of primes and of 0
+    and 1 are computed entry by entry.
     """
     if n <= 1:
         raise ZeroRingExcluded(f"zmod needs n >= 2, got {n}")
@@ -601,7 +605,19 @@ def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         raise CapExceeded(f"{n} > table cap {caps.table_size}")
     elems = tuple(range(n))
     add = [elems[a:] + elems[:a] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    least = [0] * n  # least prime factor of a composite a, else 0
+    for b in range(2, math.isqrt(n - 1) + 1):
+        if not least[b]:
+            for a in range(b * b, n, b):
+                if not least[a]:
+                    least[a] = b
+    mul = []
+    for a in range(n):
+        b = least[a]
+        if b:
+            mul.append(itemgetter(*mul[a // b])(mul[b]))
+        else:
+            mul.append(tuple([(a * y) % n for y in elems]))
     return _from_tables(add, mul, 0, 1, ("zmod", n))
 
 
@@ -1075,13 +1091,31 @@ def enumerate_ideals(ring: FiniteRing) -> tuple:
     found so far; a P already found is a sum of earlier principal ideals
     and adds nothing.  A sum of ideals is an ideal, so it needs only the
     additive step: grow one summand by the other's additive basis.
+
+    For units u and v, (uxv) = (x): x = u^-1 (uxv) v^-1 lies in (uxv), and
+    uxv lies in (x).  So only the first x of each orbit UxU, in index
+    order, is closed, and every principal ideal still keeps the basis of
+    the first x that generates it.  The orbit is the union of the cosets
+    (ux)U, each read off row ux at the units.  Orbits partition the ring,
+    so a ux already marked lies in a coset already read.
     """
     gens = ring.generators
+    mul = ring.mul_table
+    units = ring.unit_indices
+    # 1 listed twice, so the getter returns a tuple even when U = {1}
+    right_units = itemgetter(ring.one, *units)
     principal = {}
+    done = set()
     for x in range(ring.size):
+        if x in done:
+            continue
         sub = _Subgroup(ring)
         sub.close((x,), gens, gens)
         principal.setdefault(frozenset(sub.elems), tuple(sub.basis))
+        for u in units:
+            y = mul[u][x]
+            if y not in done:
+                done.update(right_units(mul[y]))
     lattice = {frozenset({ring.zero}): ()}
     for p, p_basis in sorted(principal.items(), key=lambda kv: len(kv[0])):
         if p in lattice:

@@ -20,6 +20,7 @@ from homposet.oracle import (
 from homposet.pairs import pair_of_morphism
 from homposet.poset import hom_poset
 from homposet.rings import (
+    RingMorphism,
     make_finite_field,
     make_matrix_ring,
     make_product,
@@ -437,3 +438,47 @@ def test_join_quotient_closes_each_union_once(monkeypatch):
               for p in hom_poset(r).elements for q in hom_poset(r).elements}
     assert claim.ok and claim.checked > len(unions)
     assert len(closed) == len(set(closed)) == len(unions)
+
+
+# The localization module builds its maps unchecked; corestriction-epi and
+# factor-stages run the morphism check.  Relabelling Z/5's image by the
+# transposition (2 3), which is no automorphism, keeps every other checked
+# property: kernels, unit preimages, surjectivity, injectivity, composites.
+
+SWAP = (0, 1, 3, 2, 4)
+
+
+def _relabelled(g, before=False):
+    """SWAP after g, or g after SWAP when before is set."""
+    images = [g.images[SWAP[x]] for x in range(g.source.size)] if before else [
+        SWAP[y] for y in g.images]
+    return RingMorphism._trusted(g.source, g.target, images)
+
+
+def test_corestriction_epi_checks_the_corestriction_is_a_morphism(monkeypatch):
+    corestrict = oracle.epimorphic_corestriction
+    monkeypatch.setattr(oracle, "epimorphic_corestriction", lambda f: replace(
+        corestrict(f), corestriction=_relabelled(corestrict(f).corestriction)))
+    (claim,) = verify_theorems(Catalog(5, (make_zmod(5),)), only="corestriction-epi").claims
+    assert not claim.ok and claim.checked == 1
+    assert claim.witness == (
+        "corestriction of RingMorphism(Z/5 -> Z/5, [0, 1, 2, 3, 4]) is not a "
+        "morphism: addition not preserved at (1,1)"
+    )
+
+
+def test_factor_stages_checks_each_stage_is_a_morphism(monkeypatch):
+    factorize = oracle.canonical_factorization
+
+    def faulty(f):
+        fact = factorize(f)
+        return replace(fact, collapse=_relabelled(fact.collapse),
+                       embed=_relabelled(fact.embed, before=True))
+
+    monkeypatch.setattr(oracle, "canonical_factorization", faulty)
+    (claim,) = verify_theorems(Catalog(5, (make_zmod(5),)), only="factor-stages").claims
+    assert not claim.ok and claim.checked == 1
+    assert claim.witness == (
+        "collapse stage of RingMorphism(Z/5 -> Z/5, [0, 1, 2, 3, 4]) is not a "
+        "morphism: addition not preserved at (1,1)"
+    )

@@ -25,6 +25,7 @@ from homposet.rings import (
     Ideal,
     MultiplicativeSet,
     RingMorphism,
+    _Subgroup,
     _digits,
     _is_ideal,
     _is_submonoid,
@@ -921,6 +922,67 @@ def hom_ladder_rings():
     return [parse_ring(spec, wide) for spec in specs]
 
 
+# reference lattice: the earlier loop that closes every element, kept to pin
+# the one-closure-per-unit-orbit enumeration to the same ideals in the same
+# order
+
+
+def reference_enumerate_ideals(ring) -> list:
+    gens = ring.generators
+    principal = {}
+    for x in range(ring.size):
+        sub = _Subgroup(ring)
+        sub.close((x,), gens, gens)
+        principal.setdefault(frozenset(sub.elems), tuple(sub.basis))
+    lattice = {frozenset({ring.zero}): ()}
+    for p, p_basis in sorted(principal.items(), key=lambda kv: len(kv[0])):
+        if p in lattice:
+            continue
+        for members, basis in list(lattice.items()):
+            if p <= members:
+                continue
+            sub = _Subgroup(ring, members, basis)
+            for c in p_basis:
+                sub.extend(c)
+            lattice.setdefault(frozenset(sub.elems), tuple(sub.basis))
+    return sorted(lattice, key=lambda m: (len(m), sorted(m)))
+
+
+def test_unit_orbits_keep_the_ideal_lattice():
+    wide = Caps(table_size=256)
+    rings = list(build_catalog(32).rings) + hom_ladder_rings() + [
+        # noncommutative, with nontrivial unit groups
+        parse_ring("matrix:2:zmod:2", wide),
+        parse_ring("matrix:2:zmod:3", wide),
+        parse_ring("matrix:2:gf:2:2", wide),
+        # U = {1}: every orbit is a single element
+        parse_ring("product:zmod:2:product:zmod:2:zmod:2", wide),
+    ]
+    for ring in rings:
+        assert [i.members for i in enumerate_ideals(ring)] == reference_enumerate_ideals(ring), ring
+
+
+def test_one_principal_closure_per_unit_orbit(monkeypatch):
+    closed = []
+    close = _Subgroup.close
+
+    def counted(sub, pending, left=(), right=()):
+        closed.append(tuple(pending))
+        return close(sub, pending, left, right)
+
+    z128 = make_zmod(128, Caps(table_size=128))
+    m2 = parse_ring("matrix:2:zmod:3", Caps(table_size=81))
+    for ring in (z128, m2):
+        ring.generators  # its own closures are not principal ones
+    monkeypatch.setattr(_Subgroup, "close", counted)
+    enumerate_ideals(z128)
+    # one per divisor of 128: 0, then 2^k for k = 0..6
+    assert closed == [(0,), (1,), (2,), (4,), (8,), (16,), (32,), (64,)]
+    closed.clear()
+    enumerate_ideals(m2)
+    assert len(closed) == 3  # one per rank: 0, 1 and 2
+
+
 def test_generators_match_greedy_definition():
     for ring in list(build_catalog(16).rings) + hom_ladder_rings():
         assert ring.generators == reference_generators(ring), ring
@@ -1054,9 +1116,12 @@ def relabelled_z3() -> FiniteRing:
 
 
 def test_zmod_tables_match_reference():
-    wide = Caps(table_size=300)
-    for n in range(2, 301):
-        assert make_zmod(n, wide) == reference_make_zmod(n), n
+    # composed multiplication rows; at n = 1024 row 512 is composed nine deep
+    wide = Caps(table_size=1024)
+    for n in list(range(2, 301)) + [1024]:
+        ring = make_zmod(n, wide)
+        assert ring == reference_make_zmod(n), n
+        assert all(type(row) is tuple for row in ring.mul_table), n
 
 
 def test_finite_field_tables_match_reference():
