@@ -39,6 +39,7 @@ from .rings import (
     ring_label,
 )
 from .zhom import (
+    _fmt_val,
     exponent_vector,
     format_z_element,
     parse_z_element,
@@ -210,15 +211,11 @@ def cmd_oracle(args, caps) -> int:
 
 
 def _render_vector(vec) -> str:
-    parts = [f"{p}:{_vfmt(v)}" for p, v in vec.overrides]
+    parts = [f"{p}:{_fmt_val(v)}" for p, v in vec.overrides]
     if vec.default != 0:
-        parts.append(f"default:{_vfmt(vec.default)}")
+        parts.append(f"default:{_fmt_val(vec.default)}")
     parts.append(f"0slot:{vec.slot}")
     return "{" + ", ".join(parts) + "}"
-
-
-def _vfmt(v) -> str:
-    return "inf" if v == float("inf") else str(int(v))
 
 
 def cmd_zhom(args, caps) -> int:

@@ -53,7 +53,7 @@ def universal_inverting_finite(ring: FiniteRing, pair: HomPair) -> FiniteLocaliz
     if not report.ok:
         keys = ", ".join(c.key for c in report.failed())
         raise InvalidPair(f"pair fails: {keys}")
-    return FiniteLocalization(*make_quotient(ring, Ideal(ring, pair.ideal)))
+    return FiniteLocalization(*make_quotient(ring, Ideal._trusted(ring, pair.ideal)))
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,12 @@ def _claim_functor_laws(ctx):
                 fmap = pullback(f)
                 dom = fmap.domain
                 for a in dom.elements:
+                    # hom_functor pulls back only the ideal
+                    pre_mset = {i for i, y in enumerate(f.images) if y in a.mset}
+                    if fmap.apply(a).mset != pre_mset:
+                        return checked, (
+                            f"pullback along {f!r} of {a!r} is not the preimage of its M"
+                        )
                     for b in dom.elements:
                         if leq(a, b):
                             checked += 1

@@ -5,7 +5,10 @@ unit mod that ideal, so each realized pair is (a, preimage of units of R/a)
 and the poset is in order-preserving bijection with the proper two-sided
 ideals.  Units lift along R -> R/a when R is finite, so that preimage is
 U(R) + a.  hom_poset materializes the poset that way: one pair per proper
-ideal of the enumerated lattice, with no quotient ring built.
+ideal of the enumerated lattice, with no quotient ring built.  Every
+other pair over the ring (a fiber, a pullback, a factor of a product, a
+complete prime) is looked up in that poset by its ideal, so M is computed
+in one place (_units_plus).
 
 The order is inclusion of ideals, read from one table per poset (see
 HomPoset.above).  join_ext adjoins TOP to make the bounded lattice: the join
@@ -54,6 +57,11 @@ class HomPoset:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
+    def of_ideal(self) -> dict:
+        """Each pair keyed by its ideal's member set."""
+        return {p.ideal: p for p in self.elements}
+
+    @cached_property
     def above(self) -> tuple:
         """Strict upsets as bitmasks: bit j of above[i] is set when the ideal
         of element i lies strictly inside the ideal of element j.
@@ -79,14 +87,16 @@ class HomPoset:
 
 @per_ring
 def _posets(ring: FiniteRing) -> tuple:
-    """The plain poset over the ring and its completion, on one pair tuple."""
+    """The plain poset over the ring and its completion, on one pair tuple.
+
+    proper_ideals comes sorted by size and then members, which is the order
+    of HomPair.sort_key, so the pairs need no sort.
+    """
     # (I, U(R)+I) is the pair of R -> R/I, so no pair needs checking
-    pairs = [
+    elements = tuple(
         HomPair._trusted(ring, ideal.members, _units_plus(ring, ideal.members))
         for ideal in proper_ideals(ring)
-    ]
-    pairs.sort(key=lambda p: p.sort_key())
-    elements = tuple(pairs)
+    )
     return HomPoset(ring, elements), HomPoset(ring, elements, True)
 
 
@@ -139,12 +149,15 @@ def _maximal(poset: HomPoset) -> tuple:
 def least_of_fiber(ring: FiniteRing, ideal) -> HomPair:
     """The least pair whose first component is the given proper ideal.
 
-    Over a finite ring the fiber over an ideal is this single pair.
+    Over a finite ring the fiber over an ideal is this single pair, the
+    poset's own element.  Members that are no ideal raise NotAnIdeal.
     """
     imembers = frozenset(getattr(ideal, "members", ideal))
-    if not Ideal(ring, imembers).is_proper:
+    pair = hom_poset(ring).of_ideal.get(imembers)
+    if pair is None:
+        Ideal(ring, imembers)  # raises NotAnIdeal unless an ideal
         raise ImproperIdeal("the whole ring carries no pair")
-    return HomPair._trusted(ring, imembers, _units_plus(ring, imembers))
+    return pair
 
 
 def _units_plus(ring: FiniteRing, imembers: frozenset) -> frozenset:
@@ -181,17 +194,17 @@ def hom_functor(f: RingMorphism) -> PosetMap:
     """Pull back each pair over the target along f.
 
     The preimage pair is realized over the source by the composite of f
-    with any morphism realizing the target pair, so the map lands in
-    hom_poset(source) with no search and no check.
+    with any morphism realizing the target pair, so it is the element of
+    hom_poset(source) over the preimage ideal, found with no search and no
+    check.  The oracle claim functor-laws checks that its M is the preimage
+    of the target's M.
     """
     dom = hom_poset(f.target)
     cod = hom_poset(f.source)
     images = []
     for p in dom.elements:
         pre_ideal = frozenset(i for i, y in enumerate(f.images) if y in p.ideal)
-        pre_mset = frozenset(i for i, y in enumerate(f.images) if y in p.mset)
-        pulled = HomPair._trusted(f.source, pre_ideal, pre_mset)
-        images.append(cod.index[pulled])
+        images.append(cod.index[cod.of_ideal[pre_ideal]])
     return PosetMap(f, dom, cod, tuple(images))
 
 
@@ -229,13 +242,12 @@ def product_decompose_poset(prod: FiniteRing) -> PosetIso:
     """
     r1, r2 = product_factors(prod)
     n2 = r2.size
+    of1, of2 = hom_poset(r1).of_ideal, hom_poset(r2).of_ideal
     forward = {TOP: (TOP, TOP)}
     for p in hom_poset(prod).elements:
         i1 = frozenset(i // n2 for i in p.ideal)
         i2 = frozenset(i % n2 for i in p.ideal)
-        x1 = TOP if r1.one in i1 else least_of_fiber(r1, i1)
-        x2 = TOP if r2.one in i2 else least_of_fiber(r2, i2)
-        forward[p] = (x1, x2)
+        forward[p] = (of1.get(i1, TOP), of2.get(i2, TOP))
     backward = {v: k for k, v in forward.items()}
     return PosetIso(prod, r1, r2, forward, backward)
 
@@ -298,10 +310,11 @@ def spec_correspondence(ring: FiniteRing) -> tuple:
 def _complete_primes(ring: FiniteRing) -> tuple:
     """(ideal, least pair over it) for each completely prime ideal, in pair
     order: the one scan that maximality_chain and spec_correspondence share."""
-    table = [(ideal, least_of_fiber(ring, ideal)) for ideal in proper_ideals(ring)
-             if is_completely_prime(ring, ideal)]
-    table.sort(key=lambda t: t[1].sort_key())
-    return tuple(table)
+    return tuple(
+        (ideal, pair)
+        for ideal, pair in zip(proper_ideals(ring), hom_poset(ring).elements)
+        if is_completely_prime(ring, ideal)
+    )
 
 
 # ---------------------------------------------------------------------------

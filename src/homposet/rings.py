@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, wraps
+from functools import cached_property, partial, wraps
 from operator import getitem, itemgetter
 
 from .config import Caps, DEFAULT_CAPS
@@ -175,30 +175,15 @@ class FiniteRing:
 
 
 def _is_ideal(ring: FiniteRing, members: frozenset) -> bool:
-    """Whether members is a two-sided ideal.
-
-    The additive subgroup generated by the members is grown one coset at a
-    time and must stay inside them; once every member is reached the two
-    sets agree.  The r with rI and Ir inside I form a subring, and a -> x*a
-    is additive, so x*b and b*x need checking only for the ring generators
-    x and the subgroup's additive basis b.  A member outside the carrier
-    indices makes it False.
+    """Whether members is a two-sided ideal: the least ideal holding them,
+    the closure that enumerate_ideals and ideal_generated_by use, is no
+    larger.  A member outside the carrier indices makes it False.
     """
-    if ring.zero not in members or not members <= ring.index_set:
+    if not members <= ring.index_set:
         return False
     sub = _Subgroup(ring)
-    elems = sub.elems
-    for a in members:
-        start = len(elems)
-        if sub.extend(a) and not members.issuperset(elems[start:]):
-            return False
-    mul = ring.mul_table
-    for b in sub.basis:
-        row = mul[b]
-        for x in ring.generators:
-            if mul[x][b] not in members or row[x] not in members:
-                return False
-    return True
+    sub.close(members, ring.generators, ring.generators)
+    return len(sub.elems) <= len(members)
 
 
 def _is_submonoid(ring: FiniteRing, members: frozenset) -> bool:
@@ -764,10 +749,9 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 
     Elements are encoded base p, low coefficient in the least significant
     digit, so index i is the polynomial sum(digit_j * x^j).  For k = 1 the
-    tables coincide with make_zmod(p).  Repeated calls return the same ring.
-    Addition rows are composed from the rows of one-term polynomials
-    (_digit_add_rows); multiplication row a is the exp table rotated by
-    log a, read at the logs.
+    tables coincide with make_zmod(p).  Addition rows are composed from the
+    rows of one-term polynomials (_digit_add_rows); multiplication row a is
+    the exp table rotated by log a, read at the logs.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -776,12 +760,6 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     q = p**k
     if q > caps.table_size:
         raise CapExceeded(f"{q} > table cap {caps.table_size}")
-    return _finite_field(p, k)
-
-
-@lru_cache(maxsize=64)
-def _finite_field(p: int, k: int) -> FiniteRing:
-    q = p**k
     modulus = _smallest_irreducible(p, k)
     polys = [_digits(i, p, k) for i in range(q)]
     add = _digit_add_rows([[(a + b) % p for b in range(p)] for a in range(p)], 0, k)
@@ -1079,7 +1057,7 @@ def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
         raise ValueError("generator index out of range")
     sub = _Subgroup(ring)
     sub.close(gens, ring.generators, ring.generators)
-    return Ideal(ring, frozenset(sub.elems))
+    return Ideal._trusted(ring, sub.elems)
 
 
 @per_ring

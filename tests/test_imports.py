@@ -1,6 +1,7 @@
 """Static checks on the package source: every module-level import is used,
-no check lives in an assert statement, which python -O strips, and only the
-oracle searches for morphisms or runs the tensor epimorphism test."""
+no check lives in an assert statement, which python -O strips, no
+functools cache outlives the rings it was filled from, and only the oracle
+searches for morphisms or runs the tensor epimorphism test."""
 import ast
 from pathlib import Path
 
@@ -56,6 +57,36 @@ def test_no_assert_statements_in_the_package():
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line in assert_lines(path.read_text())
+    ]
+    assert found == []
+
+
+def process_caches(source: str) -> list:
+    """Line of each use of functools.lru_cache or functools.cache, imported
+    by name or read off the module."""
+    memo = {"lru_cache", "cache"}
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ImportFrom) and n.module == "functools":
+            found += [n.lineno for a in n.names if a.name in memo]
+        elif (isinstance(n, ast.Attribute) and n.attr in memo
+              and isinstance(n.value, ast.Name) and n.value.id == "functools"):
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_process_caches_are_found():
+    source = ("from functools import partial, lru_cache\nimport functools\n"
+              "cache = {}\n@functools.cache\ndef f(): pass\n")
+    assert process_caches(source) == [1, 4]
+
+
+def test_no_process_wide_caches():
+    # derived state lives on its ring (rings.per_ring) and dies with it
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in process_caches(path.read_text())
     ]
     assert found == []
 

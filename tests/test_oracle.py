@@ -214,13 +214,10 @@ def test_json_dict_shape():
 
 
 def test_oracle_catches_a_core_fault_in_unchecked_pairs(monkeypatch):
-    # M = U(R) in place of U(R)+I: hom_poset and least_of_fiber build their
-    # pairs unchecked, so only the battery's own search can notice.  The
-    # faulty posets live on the run's rings and die with them.  Only
-    # _finite_field's instances are shared across calls, and a field's
-    # morphism memo would keep its targets alive, so the run builds its own.
+    # M = U(R) in place of U(R)+I: hom_poset builds its pairs unchecked, so
+    # only the battery's own search can notice.  The faulty posets live on
+    # the run's rings, fields included, and die with them.
     monkeypatch.setattr(poset, "_units_plus", lambda ring, imembers: ring.unit_indices)
-    monkeypatch.setattr(rings, "_finite_field", rings._finite_field.__wrapped__)
     try:
         report = verify_theorems(build_catalog(16))
     finally:
@@ -229,7 +226,7 @@ def test_oracle_catches_a_core_fault_in_unchecked_pairs(monkeypatch):
     assert [c.key for c in report.claims] == list(CLAIM_KEYS)
     assert "poset-search" in {c.key for c in failed}
     assert all(c.witness and not c.witness.endswith(": ") for c in failed)
-    # no faulty poset is left where a shared field's morphisms lead
+    # no faulty poset is left where a field's morphisms lead
     gf4 = make_finite_field(2, 2)
     square = make_product(gf4, gf4)
     (f, *_) = enumerate_morphisms(gf4, square)
@@ -268,17 +265,16 @@ def test_claim_exception_is_its_witness(monkeypatch):
 FAULT_RUN = """
 import json, sys
 from dataclasses import replace
-from homposet import oracle, poset, rings
+from homposet import oracle, poset
 from homposet.oracle import build_catalog, verify_theorems
 from homposet.pairs import TOP
 from homposet.rings import identity_morphism
 
 catalog = build_catalog(8)
-units_plus, finite_field = poset._units_plus, rings._finite_field
+units_plus = poset._units_plus
 poset._units_plus = lambda ring, imembers: ring.unit_indices
-rings._finite_field = finite_field.__wrapped__
 fault = verify_theorems(build_catalog(8)).render_text()
-poset._units_plus, rings._finite_field = units_plus, finite_field
+poset._units_plus = units_plus
 
 decompose = oracle.product_decompose_poset
 factorize = oracle.canonical_factorization
@@ -322,6 +318,12 @@ def test_faults_are_caught_under_python_O():
     assert optimized == plain
     lines = optimized["fault"].splitlines()
     assert lines[-1] == "17/25 claims hold"
+    # hom_functor pulls back only the ideal; the claim checks the M
+    at = lines.index(next(l for l in lines if l.startswith("FAIL functor-laws:")))
+    assert lines[at + 1] == (
+        "     witness: pullback along RingMorphism(Z/6 -> Z/2, [0, 1, 0, 1, 0, 1]) of "
+        "HomPair(Z/2: [0], [1]) is not the preimage of its M"
+    )
     at = lines.index(next(l for l in lines if l.startswith("FAIL max-spec:")))
     assert lines[at + 1] == (
         "     witness: Z/6: M over the complete prime [0, 3] is not its complement"
@@ -401,8 +403,6 @@ def test_functor_laws_pulls_back_along_each_morphism_once(monkeypatch):
 
 
 def test_corner_split_builds_each_corner_once(monkeypatch):
-    # fresh fields, so no corner is left on a shared ring by an earlier run
-    monkeypatch.setattr(rings, "_finite_field", rings._finite_field.__wrapped__)
     catalog = build_catalog(16)
     built = []
 

@@ -6,7 +6,13 @@ import pytest
 
 from homposet.cli import parse_ring
 from homposet.config import Caps
-from homposet.errors import NotAProduct, NotCommutative, RingMismatch
+from homposet.errors import (
+    ImproperIdeal,
+    NotAProduct,
+    NotAnIdeal,
+    NotCommutative,
+    RingMismatch,
+)
 from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import build_catalog
 from homposet.pairs import TOP, HomPair, leq, meet
@@ -216,8 +222,13 @@ def test_max_elements_and_greatest():
 def test_least_of_fiber():
     z12 = make_zmod(12)
     p = least_of_fiber(z12, {0, 4, 8})
-    assert p == hom_poset(z12).elements[2]
+    assert p is hom_poset(z12).elements[2]
     assert p.mset == frozenset({1, 3, 5, 7, 9, 11})
+    for members in ({0, 4}, {0, 6, 12}, {0, 6, -6}):
+        with pytest.raises(NotAnIdeal):
+            least_of_fiber(z12, members)
+    with pytest.raises(ImproperIdeal):
+        least_of_fiber(z12, range(12))
 
 
 def test_hom_functor_pullback_images():
@@ -255,17 +266,22 @@ def test_local_morphisms():
 
 
 def test_product_poset_splits():
-    prod = make_product(make_zmod(2), make_zmod(3))
+    z2, z3 = make_zmod(2), make_zmod(3)
+    prod = make_product(z2, z3)
     iso = product_decompose_poset(prod)
     bar = hom_poset(prod, adjoin_top=True)
     assert len(iso.forward) == len(bar) == 4
     least = hom_poset(prod).least
     x1, x2 = iso.forward[least]
-    assert x1 == hom_poset(make_zmod(2)).least
-    assert x2 == hom_poset(make_zmod(3)).least
+    assert x1 is hom_poset(z2).least
+    assert x2 is hom_poset(z3).least
     assert iso.forward[TOP] == (TOP, TOP)
     for key, val in iso.forward.items():
         assert iso.backward[val] == key
+    # each side is TOP or the factor poset's own element
+    for side, factor in ((0, z2), (1, z3)):
+        own = {id(p) for p in hom_poset(factor).elements}
+        assert all(v[side] is TOP or id(v[side]) in own for v in iso.forward.values())
 
 
 def test_product_poset_splits_z4_z9():
@@ -364,6 +380,13 @@ def test_per_ring_state_dies_with_its_ring():
     jacobson_radical(ring)
     ref = weakref.ref(ring)
     del ring
+    gc.collect()
+    assert ref() is None
+    # a field is not cached either, even with a morphism memo on it
+    field = make_finite_field(2, 2)
+    enumerate_morphisms(field, make_product(field, field))
+    ref = weakref.ref(field)
+    del field
     gc.collect()
     assert ref() is None
 

@@ -119,12 +119,17 @@ def test_finite_field_order_one_matches_zmod():
     assert make_finite_field(5, 1) == make_zmod(5)
 
 
-def test_finite_field_is_cached_behind_its_checks():
+def test_finite_field_is_built_afresh_behind_its_checks(monkeypatch):
     wide = Caps(table_size=64)
     f32 = make_finite_field(2, 5, wide)
-    assert make_finite_field(2, 5, wide) is f32
+    again = make_finite_field(2, 5, wide)
+    assert again == f32 and again is not f32
+    built = []
+    monkeypatch.setattr("homposet.rings._smallest_irreducible",
+                        lambda p, k: built.append((p, k)))
     with pytest.raises(CapExceeded):
         make_finite_field(2, 5, Caps(table_size=16))
+    assert built == []
 
 
 def test_finite_field_rejects_composite_base():
@@ -762,6 +767,27 @@ def reference_is_ideal(ring, members) -> bool:
     return True
 
 
+def coset_growth_is_ideal(ring, members) -> bool:
+    """The generating-set test that _is_ideal ran before it became one
+    closure: grow the additive subgroup of the members one coset at a time
+    inside them, then check x*b and b*x for ring generators x and basis b."""
+    if ring.zero not in members or not members <= ring.index_set:
+        return False
+    sub = _Subgroup(ring)
+    elems = sub.elems
+    for a in members:
+        start = len(elems)
+        if sub.extend(a) and not members.issuperset(elems[start:]):
+            return False
+    mul = ring.mul_table
+    for b in sub.basis:
+        row = mul[b]
+        for x in ring.generators:
+            if mul[x][b] not in members or row[x] not in members:
+                return False
+    return True
+
+
 def reference_is_submonoid(ring, members) -> bool:
     if ring.one not in members:
         return False
@@ -854,6 +880,27 @@ def test_closure_checks_match_all_pairs_scans_on_catalog():
         for members in closure_candidates(ring, rng):
             assert _is_ideal(ring, members) == reference_is_ideal(ring, members), (ring, members)
             assert _is_submonoid(ring, members) == reference_is_submonoid(ring, members), (
+                ring, members)
+
+
+def test_ideal_closure_matches_coset_growth():
+    # every subset of the rings of at most 8 elements
+    for ring in build_catalog(8).rings:
+        for bits in range(1 << ring.size):
+            members = frozenset(x for x in range(ring.size) if bits >> x & 1)
+            expected = reference_is_ideal(ring, members)
+            assert coset_growth_is_ideal(ring, members) == expected, (ring, members)
+            assert _is_ideal(ring, members) == expected, (ring, members)
+    # every ideal, each with one element toggled, and seeded random sets
+    rng = random.Random(20186)
+    rings = build_catalog(16).rings
+    assert parse_ring("matrix:2:zmod:2", Caps()) in rings
+    for ring in rings:
+        candidates = [m for i in enumerate_ideals(ring) for m in toggles(ring, i.members)]
+        for _ in range(100):
+            candidates.append(frozenset(x for x in range(ring.size) if rng.random() < 0.5))
+        for members in candidates:
+            assert _is_ideal(ring, members) == coset_growth_is_ideal(ring, members), (
                 ring, members)
 
 
