@@ -4,8 +4,8 @@ The organizing object: each unit-preserving morphism f out of a ring R
 induces the pair (kernel of f, preimage of the target's units), and the
 pairs over R form a poset under componentwise inclusion.  This package
 materializes that poset for finite table rings, provides the closed-form
-theory over Z, builds universal pair-inverting morphisms in the decidable
-cases, and ships a brute-force oracle that re-checks every structural
+theory over Z, builds universal pair-inverting morphisms out of finite
+rings, and ships a brute-force oracle that re-checks every structural
 claim by exhaustive search.
 """
 
@@ -19,7 +19,6 @@ from .errors import (
     NoFactorization,
     NotAnIdeal,
     NotAProduct,
-    NotASubmonoid,
     NotComposable,
     NotCommutative,
     NotPrime,
@@ -29,7 +28,6 @@ from .errors import (
 from .rings import (
     FiniteRing,
     Ideal,
-    MultiplicativeSet,
     RingMorphism,
     check_table_axioms,
     compose,
@@ -41,7 +39,6 @@ from .rings import (
     is_field,
     is_saturated,
     jacobson_radical,
-    kernel,
     make_finite_field,
     make_matrix_ring,
     make_product,
@@ -52,8 +49,6 @@ from .rings import (
     ring_from_tables,
     ring_label,
     subring,
-    unit_preimage,
-    units,
 )
 from .morphisms import (
     DenominatorReport,
@@ -95,8 +90,6 @@ from .poset import (
     spec_correspondence,
 )
 from .zhom import (
-    ALL_PRIMES,
-    NO_PRIMES,
     ExponentVector,
     PrimeSet,
     ZHomElement,
@@ -104,24 +97,19 @@ from .zhom import (
     format_z_element,
     parse_z_element,
     prime_divisors,
-    z_is_maximal,
     z_join,
-    z_least,
     z_leq,
     z_meet,
     z_modular,
-    z_pair_of_finite_ring,
     z_zero_kernel,
 )
 from .localization import (
     Corestriction,
     Factorization,
     FiniteLocalization,
-    RationalSubring,
     canonical_factorization,
     epimorphic_corestriction,
     factor_through,
-    localize_integer_pair,
     universal_inverting_finite,
 )
 from .oracle import (

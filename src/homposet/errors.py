@@ -25,10 +25,6 @@ class NotAnIdeal(HomPosetError):
     """A member set failed the two-sided ideal closure checks."""
 
 
-class NotASubmonoid(HomPosetError):
-    """A member set failed the multiplicative submonoid checks."""
-
-
 class CapExceeded(HomPosetError):
     """A requested carrier or search exceeds the configured caps."""
 

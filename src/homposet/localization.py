@@ -1,10 +1,9 @@
-"""Universal pair-inverting morphisms in the decidable cases.
+"""Universal pair-inverting morphisms out of finite rings.
 
 For a realized pair over a finite ring the universal morphism killing the
 ideal and inverting the multiplicative set is the quotient projection
 itself: classes of the set are regular in the quotient, and regular
-elements of a finite ring are already invertible.  Over Z the zero-kernel
-pairs localize to explicit subrings of Q and the modular pairs to Z/n.
+elements of a finite ring are already invertible.
 
 factor_through and canonical_factorization provide the universal-property
 side.  They read their answers off quotients and images, and neither
@@ -15,9 +14,7 @@ morphism search and the tensor epimorphism test, which run only there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .config import Caps, DEFAULT_CAPS
 from .errors import InvalidPair, NoFactorization, NotComposable
 from .pairs import HomPair, validate_pair
 from .rings import (
@@ -27,11 +24,9 @@ from .rings import (
     identity_morphism,
     compose,
     make_quotient,
-    make_zmod,
     ring_label,
     subring,
 )
-from .zhom import PrimeSet, ZHomElement, prime_divisors
 
 
 @dataclass(frozen=True)
@@ -54,44 +49,6 @@ def universal_inverting_finite(ring: FiniteRing, pair: HomPair) -> FiniteLocaliz
         keys = ", ".join(c.key for c in report.failed())
         raise InvalidPair(f"pair fails: {keys}")
     return FiniteLocalization(*make_quotient(ring, Ideal._trusted(ring, pair.ideal)))
-
-
-@dataclass(frozen=True)
-class RationalSubring:
-    """The subring of Q whose reduced denominators avoid a prime set."""
-
-    avoided: PrimeSet
-
-    def contains(self, q: Fraction) -> bool:
-        q = Fraction(q)
-        return all(p not in self.avoided for p in prime_divisors(q.denominator))
-
-    def label(self) -> str:
-        ps = self.avoided
-        if ps.cofinite:
-            if not ps.members:
-                return "Z"
-            inverted = ",".join(f"1/{p}" for p in sorted(ps.members))
-            return f"Z[{inverted}]"
-        if not ps.members:
-            return "Q"
-        kept = ",".join(map(str, sorted(ps.members)))
-        return f"Z[1/p for p outside {{{kept}}}]"
-
-    def __repr__(self):
-        return f"RationalSubring({self.label()})"
-
-
-def localize_integer_pair(x: ZHomElement, caps: Caps = DEFAULT_CAPS):
-    """Universal pair-inverting target over Z.
-
-    Zero-kernel elements localize inside Q: the subring of fractions whose
-    denominators avoid the prime set.  Modular elements localize to Z/n,
-    where the multiplicative component is already inverted.
-    """
-    if x.is_modular:
-        return make_zmod(x.modulus, caps)
-    return RationalSubring(x.primes)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +109,13 @@ class Factorization:
 def canonical_factorization(f: RingMorphism) -> Factorization:
     """Split f through its pair's localization and its image subring.
 
-    collapse sends the class of x to f(x) in the image, well defined because
-    the kernel is f's, and embed is the inclusion of a subring, so both are
-    morphisms because f is and are built without a check.  The oracle claim
-    factor-stages runs the check.
+    The kernel is an ideal, so it is not checked again.  collapse sends the
+    class of x to f(x) in the image, well defined because the kernel is f's,
+    and embed is the inclusion of a subring, so both are morphisms because f
+    is and are built without a check.  The oracle claim factor-stages runs
+    the check.
     """
-    quotient, start = make_quotient(f.source, Ideal(f.source, f.kernel_members))
+    quotient, start = make_quotient(f.source, Ideal._trusted(f.source, f.kernel_members))
     invert = identity_morphism(quotient)
     image_ring, carrier = subring(f.target, f.image_members)
     local = {x: i for i, x in enumerate(carrier)}

@@ -40,9 +40,11 @@ def _chain(src: FiniteRing) -> tuple:
     Level 0 spans 1, and level k adjoins x = src.generators[k-1]: it extends
     x, then b*x for each old basis element b, then c*g for each new basis
     element c and each generator g so far: the products
-    FiniteRing.generators closes under, taken first in first out.  Its span is the least additive subgroup holding 1 and closed
-    under right multiplication by the generators so far, which is the
-    subring they generate (see rings.subring_closure).
+    FiniteRing.generators closes under, taken first in first out.  Its span
+    S is the least additive subgroup holding 1 and closed under right
+    multiplication by the generators so far, which is the subring they
+    generate: the t with St inside S form a subring holding them, so
+    S = 1*S holds that subring, and no more.
 
     Each level is (x, steps, span, gens, basis).  A step (a, b, s, e) says
     that the basis element c = elems[s] is x when a is None and a*b
@@ -255,7 +257,9 @@ def rebuild_product_morphism(dec: ProductDecomposition) -> RingMorphism:
         for b in range(n2):
             yb = dec.members2[dec.to_corner2.images[b]]
             images.append(tgt.add(ya, yb))
-    return RingMorphism(src, tgt, tuple(images))
+    # built unchecked: the corner-split claim compares it with f, so a wrong
+    # rebuild is reported there rather than raised here
+    return RingMorphism._trusted(src, tgt, images)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ def denominator_analysis(ring: FiniteRing, tset) -> DenominatorReport:
     invertible there because its class is regular, hence a unit (the oracle
     claim fraction-pairs checks it).
     """
-    members = frozenset(getattr(tset, "members", tset))
+    members = frozenset(tset)
     mul = ring.mul_table
     zero = ring.zero
     n = ring.size

@@ -46,7 +46,6 @@ from .pairs import (
     meet,
     pair_of_morphism,
     radical_translation_holds,
-    raw_pair,
     validate_pair,
 )
 from .poset import (
@@ -83,7 +82,6 @@ from .rings import (
     proper_ideals,
     regular_elements,
     ring_label,
-    units,
 )
 
 
@@ -149,7 +147,7 @@ def realized_pairs(ring: FiniteRing, catalog: Catalog,
     found = set()
     for target in catalog.rings:
         for f in enumerate_morphisms(ring, target, caps):
-            found.add(raw_pair(f))
+            found.add((f.kernel_members, f.unit_preimage_members))
     return tuple(sorted(found, key=lambda t: (len(t[0]), sorted(t[0]), sorted(t[1]))))
 
 
@@ -168,10 +166,9 @@ def verify_hom_construction(ring: FiniteRing, catalog: Catalog,
 
 
 class _Ctx:
-    def __init__(self, catalog: Catalog, caps: Caps, inject_pairs: tuple):
+    def __init__(self, catalog: Catalog, caps: Caps):
         self.catalog = catalog
         self.caps = caps
-        self.inject_pairs = inject_pairs
 
     @cached_property
     def rings(self):
@@ -230,7 +227,7 @@ def _claim_units_saturated(ctx):
     checked = 0
     for r in ctx.rings:
         checked += 1
-        if not is_saturated(r, units(r)):
+        if not is_saturated(r, r.unit_indices):
             return checked, f"{ring_label(r)}: unit group is not saturated"
     return checked, None
 
@@ -252,21 +249,6 @@ def _claim_pair_invariants(ctx):
         if not radical_translation_holds(f.source, pair_of_morphism(f)):
             return checked, f"pair of {f!r} not stable under radical translation"
         held.add(pair)
-    for ring, imembers, mmembers in ctx.inject_pairs:
-        checked += 1
-        report = validate_pair(ring, imembers, mmembers)
-        if not report.ok:
-            key = report.failed()[0].key
-            return checked, (
-                f"claimed pair ({sorted(imembers)}, {sorted(mmembers)}) over "
-                f"{ring_label(ring)} fails {key}"
-            )
-        realized = {(p.ideal, p.mset) for p in hom_poset(ring).elements}
-        if (frozenset(imembers), frozenset(mmembers)) not in realized:
-            return checked, (
-                f"claimed pair ({sorted(imembers)}, {sorted(mmembers)}) over "
-                f"{ring_label(ring)} is not realized"
-            )
     return checked, None
 
 
@@ -322,7 +304,7 @@ def _claim_meet_product(ctx):
                     jp.images[x] * qq.size + jq.images[x] for x in range(r.size)
                 )
                 h = RingMorphism(r, prod, images)
-                if raw_pair(h) != (m.ideal, m.mset):
+                if (h.kernel_members, h.unit_preimage_members) != (m.ideal, m.mset):
                     return checked, (
                         f"product morphism over {ring_label(r)} realizes a different meet"
                     )
@@ -848,12 +830,11 @@ class OracleReport:
 
 
 def verify_theorems(catalog: Catalog, only: str | None = None,
-                    inject_pairs: tuple = (),
                     caps: Caps = DEFAULT_CAPS) -> OracleReport:
     """Run the battery; only restricts to claims whose key contains it."""
     if not catalog.rings:
         return OracleReport(catalog.bound, 0, True, ())
-    ctx = _Ctx(catalog, caps, tuple(inject_pairs))
+    ctx = _Ctx(catalog, caps)
     results = []
     for key, title, fn in CLAIMS:
         if only is not None and only not in key:

@@ -119,11 +119,6 @@ def pair_of_morphism(f: RingMorphism) -> HomPair:
     return HomPair._trusted(f.source, f.kernel_members, f.unit_preimage_members)
 
 
-def raw_pair(f: RingMorphism) -> tuple:
-    """The two member sets without pair validation, for hot loops."""
-    return (f.kernel_members, f.unit_preimage_members)
-
-
 def leq(p, q) -> bool:
     """Componentwise inclusion; TOP is greatest."""
     if q is TOP:
@@ -207,7 +202,7 @@ def validate_pair(ring: FiniteRing, ideal, mset) -> PairReport:
     of a finite ring are units.
     """
     imembers = frozenset(getattr(ideal, "members", ideal))
-    mmembers = frozenset(getattr(mset, "members", mset))
+    mmembers = frozenset(mset)
     lab = lambda x: element_label(ring, x)
     clauses = []
     # members outside the carrier fail the submonoid clause; the later

@@ -26,7 +26,6 @@ from .errors import (
     ImproperIdeal,
     NotAnIdeal,
     NotAProduct,
-    NotASubmonoid,
     NotComposable,
     NotPrime,
     RingMismatch,
@@ -127,10 +126,6 @@ class FiniteRing:
         return tuple(orders)
 
     @cached_property
-    def characteristic(self) -> int:
-        return self.additive_orders[self.one]
-
-    @cached_property
     def generators(self) -> tuple:
         """Greedy generator list: each element enlarges the closed subring.
 
@@ -171,19 +166,24 @@ class FiniteRing:
 
 
 # ---------------------------------------------------------------------------
-# member-set wrappers
+# ideals and submonoids
 
 
 def _is_ideal(ring: FiniteRing, members: frozenset) -> bool:
     """Whether members is a two-sided ideal: the least ideal holding them,
     the closure that enumerate_ideals and ideal_generated_by use, is no
-    larger.  A member outside the carrier indices makes it False.
+    larger, so the closure stops as soon as it outgrows members.  A set
+    without 0, or with a member outside the carrier indices, is not one.
     """
-    if not members <= ring.index_set:
+    if ring.zero not in members or not members <= ring.index_set:
         return False
     sub = _Subgroup(ring)
-    sub.close(members, ring.generators, ring.generators)
-    return len(sub.elems) <= len(members)
+    sub.bound = len(members)
+    try:
+        sub.close(members, ring.generators, ring.generators)
+    except _Outgrown:
+        return False
+    return True
 
 
 def _is_submonoid(ring: FiniteRing, members: frozenset) -> bool:
@@ -261,27 +261,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({sorted(self.members)} of {ring_label(self.ring)})"
-
-
-@dataclass(frozen=True)
-class MultiplicativeSet:
-    ring: FiniteRing
-    members: frozenset
-
-    def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        if not _is_submonoid(self.ring, self.members):
-            raise NotASubmonoid(sorted(self.members))
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __repr__(self):
-        return f"MultiplicativeSet({sorted(self.members)} of {ring_label(self.ring)})"
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +395,6 @@ def compose(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
     images = tuple(outer.images[y] for y in inner.images)
     # composite of valid morphisms needs no re-validation
     return RingMorphism._trusted(inner.source, outer.target, images)
-
-
-def kernel(f: RingMorphism) -> Ideal:
-    return Ideal(f.source, f.kernel_members)
-
-
-def unit_preimage(f: RingMorphism) -> MultiplicativeSet:
-    return MultiplicativeSet(f.source, f.unit_preimage_members)
 
 
 # ---------------------------------------------------------------------------
@@ -930,28 +901,8 @@ def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: 
     return ring, carrier
 
 
-def subring_closure(ring: FiniteRing, seed) -> frozenset:
-    """Least subset containing seed, 0 and 1, closed under +, -, x.
-
-    Take S the least additive subgroup holding 1 and closed under right
-    multiplication by seed.  The t with St inside S form a subring holding
-    seed, so S = 1*S holds the subring the seed generates, and no more.
-    """
-    seed = tuple(seed)
-    if any(not 0 <= g < ring.size for g in seed):
-        raise ValueError("generator index out of range")
-    sub = _Subgroup(ring)
-    sub.close((ring.one,) + seed, right=seed)
-    return frozenset(sub.elems)
-
-
 # ---------------------------------------------------------------------------
 # structural sets and predicates
-
-
-def units(ring: FiniteRing) -> MultiplicativeSet:
-    """Group of two-sided invertible elements."""
-    return MultiplicativeSet(ring, ring.unit_indices)
 
 
 def regular_elements(ring: FiniteRing) -> frozenset:
@@ -988,15 +939,20 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
     return Ideal(ring, frozenset(members))
 
 
+class _Outgrown(ValueError):
+    """A _Subgroup grew past its bound."""
+
+
 class _Subgroup:
     """Additive subgroup of a ring, grown one coset at a time.
 
     elems lists the members, inside flags them by index, and basis holds
     the elements whose cyclic groups were added, so the subgroup is the sum
-    of those cyclic groups.
+    of those cyclic groups.  bound is the most members it may reach: the
+    ring's size unless a caller sets it lower.
     """
 
-    __slots__ = ("ring", "elems", "inside", "basis")
+    __slots__ = ("ring", "elems", "inside", "basis", "bound")
 
     def __init__(self, ring: FiniteRing, members=None, basis=()):
         self.ring = ring
@@ -1005,19 +961,21 @@ class _Subgroup:
         for x in self.elems:
             self.inside[x] = 1
         self.basis = list(basis)
+        self.bound = ring.size
 
     def extend(self, c: int) -> bool:
         """Grow H to H + <c> by adjoining the cosets c + H, 2c + H, ...
 
-        Returns False when c already lies in H.  Raises ValueError once H
-        outgrows the ring, which only a table that is not a group can do:
-        there the cosets need never close.
+        Returns False when c already lies in H.  Raises _Outgrown, a
+        ValueError, as soon as H has more than bound members.  Only a table
+        that is not a group can outgrow the ring: there the cosets need
+        never close.
         """
         inside, elems, add = self.inside, self.elems, self.ring.add_table
         if inside[c]:
             return False
         old = tuple(elems)
-        size = self.ring.size
+        bound = self.bound
         t = c
         while not inside[t]:
             row = add[t]
@@ -1025,8 +983,9 @@ class _Subgroup:
                 y = row[h]
                 inside[y] = 1
                 elems.append(y)
-            if len(elems) > size:
-                raise ValueError("addition table is not a group")
+            if len(elems) > bound:
+                raise _Outgrown("addition table is not a group" if bound == self.ring.size
+                                else f"subgroup outgrew {bound} members")
             t = row[c]
         self.basis.append(c)
         return True
@@ -1115,7 +1074,7 @@ def proper_ideals(ring: FiniteRing) -> tuple:
 
 def is_saturated(ring: FiniteRing, members) -> bool:
     """Whether xy in M forces both x and y into M, scanned over all of R."""
-    mset = members.members if isinstance(members, MultiplicativeSet) else frozenset(members)
+    mset = frozenset(members)
     mul = ring.mul_table
     for x in range(ring.size):
         row = mul[x]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NotPrime
 from .pairs import TOP
-from .rings import FiniteRing, is_prime
+from .rings import is_prime
 
 
 def prime_divisors(n: int) -> frozenset:
@@ -95,10 +95,6 @@ class PrimeSet:
         return f"coP={{{inner}}}" if self.cofinite else f"P={{{inner}}}"
 
 
-ALL_PRIMES = PrimeSet(True, frozenset())
-NO_PRIMES = PrimeSet(False, frozenset())
-
-
 @dataclass(frozen=True)
 class ZHomElement:
     """One pair over Z: modular when modulus is set, zero-kernel otherwise."""
@@ -126,21 +122,6 @@ def z_modular(n: int) -> ZHomElement:
 
 def z_zero_kernel(primes: PrimeSet) -> ZHomElement:
     return ZHomElement(None, primes)
-
-
-def z_least() -> ZHomElement:
-    """(0, {1, -1}), the pair of the identity: avoid every prime."""
-    return z_zero_kernel(ALL_PRIMES)
-
-
-def z_pair_of_finite_ring(ring: FiniteRing) -> ZHomElement:
-    """The pair of the unique morphism Z -> R, i.e. the modular element at char R.
-
-    x.1 is a unit exactly when gcd(x, char) = 1: a common factor d > 1
-    makes x.1 a zero divisor against (char/d).1, and coprimality lifts an
-    inverse mod char.
-    """
-    return z_modular(ring.characteristic)
 
 
 def z_leq(x, y) -> bool:
@@ -187,13 +168,6 @@ def z_join(x, y):
         if p in zk.primes:
             k *= p ** _p_adic_valuation(md.modulus, p)
     return z_modular(k) if k >= 2 else TOP
-
-
-def z_is_maximal(x: ZHomElement) -> bool:
-    """Maximal pairs are (pZ, .) for p prime and the zero-kernel at no primes."""
-    if x.is_modular:
-        return is_prime(x.modulus)
-    return not x.primes.cofinite and not x.primes.members
 
 
 # ---------------------------------------------------------------------------

@@ -35,21 +35,28 @@ from homposet.poset import (
 )
 from homposet.rings import (
     compose,
+    is_prime,
     make_finite_field,
     make_matrix_ring,
     make_product,
     make_zmod,
 )
 from homposet.zhom import (
-    NO_PRIMES,
     PrimeSet,
     exponent_vector,
-    z_is_maximal,
-    z_least,
     z_leq,
     z_modular,
     z_zero_kernel,
 )
+
+NO_PRIMES = PrimeSet(False, frozenset())
+
+
+def is_maximal_over_z(x) -> bool:
+    """Max(Z): the pairs (pZ, .) for p prime, and the zero kernel at no primes."""
+    if x.is_modular:
+        return is_prime(x.modulus)
+    return x.primes == NO_PRIMES
 
 
 def value_at(v, p: int):
@@ -131,11 +138,8 @@ def test_03_pair_criterion(capsys, battery):
         assert r1.failed()[0].witness == "1+2=3 not in M"
         r2 = validate_pair(z6, {0}, {1, 2, 4, 5})
         assert [c.key for c in r2.failed()] == ["regular_in_quotient"]
-        injected = verify_theorems(
-            build_catalog(8), inject_pairs=((z6, {0}, {1, 2, 4, 5}),)
-        )
-        assert not injected.ok
-        assert not claim(injected, "pair-invariants").ok
+        realized = {(p.ideal, p.mset) for p in hom_poset(z6).elements}
+        assert (frozenset({0}), frozenset({1, 2, 4, 5})) not in realized
 
 
 def test_04_spectrum(capsys, battery):
@@ -208,7 +212,7 @@ def test_08_integer_closed_forms(capsys):
 
     with criterion(capsys, 8, "integer-closed-forms"):
         rng = random.Random(20260818)
-        primes = [p for p in range(2, 100) if z_is_maximal(z_modular(p))]
+        primes = [p for p in range(2, 100) if is_prime(p)]
         pool = []
         for _ in range(60):
             kind = rng.randrange(3)
@@ -224,9 +228,12 @@ def test_08_integer_closed_forms(capsys):
                 assert z_leq(x, y) == want, (x, y)
                 checked += 1
         assert checked >= 1000
-        assert z_is_maximal(z_modular(97)) and not z_is_maximal(z_modular(12))
-        assert z_is_maximal(z_zero_kernel(NO_PRIMES))
-        bot = z_least()
+        assert is_maximal_over_z(z_modular(97)) and not is_maximal_over_z(z_modular(12))
+        assert is_maximal_over_z(z_zero_kernel(NO_PRIMES))
+        for x in pool:
+            if is_maximal_over_z(x):
+                assert not any(y != x and z_leq(x, y) for y in pool), x
+        bot = z_zero_kernel(PrimeSet(True, frozenset()))  # avoids every prime
         assert all(z_leq(bot, y) for y in pool)
 
 

@@ -1,11 +1,13 @@
 """Static checks on the package source: every module-level import is used,
 no check lives in an assert statement, which python -O strips, no
-functools cache outlives the rings it was filled from, and only the oracle
-searches for morphisms or runs the tensor epimorphism test."""
+functools cache outlives the rings it was filled from, only the oracle
+searches for morphisms or runs the tensor epimorphism test, and every name
+the package exports has a caller among its programs."""
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "homposet"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "homposet"
 
 
 def unused_imports(source: str) -> list:
@@ -95,12 +97,13 @@ SEARCHES = {"enumerate_morphisms", "is_ring_epimorphism"}
 
 
 def names_in(source: str) -> set:
-    """Every identifier the source reads, imports or takes as an attribute."""
+    """Every identifier the source reads, imports or takes as an attribute.
+    A name or attribute that is only assigned is not read."""
     names = set()
     for n in ast.walk(ast.parse(source)):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             names.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
             names.add(n.attr)
         elif isinstance(n, ast.alias):
             names.add(n.name)
@@ -108,7 +111,7 @@ def names_in(source: str) -> set:
 
 
 def test_names_are_found():
-    source = "from .m import a as b\nimport c\nc.d(e)\n"
+    source = "from .m import a as b\nimport c\nc.d(e)\nf = 1\nc.g = 2\n"
     assert names_in(source) == {"a", "c", "d", "e"}
 
 
@@ -122,3 +125,36 @@ def test_only_the_oracle_searches():
         for name in sorted(names_in(path.read_text()) & SEARCHES)
     ]
     assert found == []
+
+
+def uncalled_exports(init_source: str, program_sources) -> list:
+    """Each name the package __init__ imports that no program source reads."""
+    exported = [a.asname or a.name
+                for n in ast.parse(init_source).body if isinstance(n, ast.ImportFrom)
+                for a in n.names]
+    read = set().union(*map(names_in, program_sources))
+    return [name for name in exported if name not in read]
+
+
+def test_uncalled_exports_are_found():
+    init = "from .a import b, c\nfrom .d import e as f\n__version__ = '1'\n"
+    # an assignment to c is not a call
+    programs = ["from homposet import b\n", "import homposet\nhomposet.f()\nc = 1\n"]
+    assert uncalled_exports(init, programs) == ["c"]
+
+
+# the entry point for tables from outside the program: ring descriptions
+# name only built-in rings, so no program builds a ring from raw tables
+EXTERNAL_ENTRY_POINTS = {"ring_from_tables"}
+
+
+def test_every_export_has_a_program_caller():
+    # programs are the package itself, the scripts and the benchmark; the
+    # benchmark's own tests are not callers
+    programs = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    for folder in ("scripts", "perfbench"):
+        programs += [path for path in sorted((ROOT / folder).rglob("*.py"))
+                     if "tests" not in path.relative_to(ROOT).parts]
+    uncalled = uncalled_exports((PACKAGE / "__init__.py").read_text(),
+                                [path.read_text() for path in programs])
+    assert sorted(set(uncalled) - EXTERNAL_ENTRY_POINTS) == []

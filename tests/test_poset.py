@@ -39,7 +39,6 @@ from homposet.rings import (
     make_matrix_ring,
     make_product,
     make_zmod,
-    units,
 )
 
 

@@ -24,8 +24,6 @@ from homposet.rings import (
     make_zmod,
 )
 from homposet.zhom import (
-    ALL_PRIMES,
-    NO_PRIMES,
     ExponentVector,
     PrimeSet,
     ZHomElement,
@@ -33,15 +31,35 @@ from homposet.zhom import (
     format_z_element,
     parse_z_element,
     prime_divisors,
-    z_is_maximal,
     z_join,
-    z_least,
     z_leq,
     z_meet,
     z_modular,
-    z_pair_of_finite_ring,
     z_zero_kernel,
 )
+
+ALL_PRIMES = PrimeSet(True, frozenset())
+NO_PRIMES = PrimeSet(False, frozenset())
+# (0, {1, -1}), the pair of the identity: it avoids every prime
+LEAST = z_zero_kernel(ALL_PRIMES)
+
+
+def is_maximal_over_z(x) -> bool:
+    """Max(Z): the pairs (pZ, .) for p prime, and the zero kernel at no primes."""
+    if x.is_modular:
+        return isprime(x.modulus)
+    return x.primes == NO_PRIMES
+
+
+def z_pair_of_finite_ring(ring) -> ZHomElement:
+    """The pair of the unique morphism Z -> R: the modular element at char R.
+
+    k.1 is a unit exactly when gcd(k, char) = 1: a common factor d > 1
+    makes k.1 a zero divisor against (char/d).1, and coprimality lifts an
+    inverse mod char.
+    """
+    return z_modular(ring.additive_orders[ring.one])
+
 
 BASE_PROBES = tuple(primerange(2, 100)) + (101, 997, 99991)
 
@@ -117,7 +135,7 @@ def element_pool(seed, size):
         else:
             members = frozenset(rng.sample(small_primes, rng.randrange(0, 5)))
             pool.append(z_zero_kernel(PrimeSet(kind == 2, members)))
-    pool.append(z_least())
+    pool.append(LEAST)
     pool.append(z_zero_kernel(NO_PRIMES))
     pool.append(z_modular(2))
     return pool
@@ -169,8 +187,8 @@ def test_order_rule_examples():
     assert z_leq(z_zero_kernel(PrimeSet(False, {2, 3})), z_modular(12))
     assert not z_leq(z_zero_kernel(PrimeSet(False, {2})), z_modular(12))
     assert not z_leq(z_modular(2), z_zero_kernel(PrimeSet(False, {2})))
-    assert z_leq(z_least(), z_modular(97))
-    assert z_leq(z_least(), z_zero_kernel(NO_PRIMES))
+    assert z_leq(LEAST, z_modular(97))
+    assert z_leq(LEAST, z_zero_kernel(NO_PRIMES))
 
 
 def test_meet_rule_examples():
@@ -180,7 +198,7 @@ def test_meet_rule_examples():
         z_zero_kernel(PrimeSet(True, {2, 5})),
     )
     assert got.primes == PrimeSet(True, frozenset({5}))
-    assert z_meet(z_least(), z_modular(12)) == z_least()
+    assert z_meet(LEAST, z_modular(12)) == LEAST
     mixed = z_meet(z_zero_kernel(PrimeSet(False, {5})), z_modular(12))
     assert mixed.primes == PrimeSet(False, frozenset({2, 3, 5}))
 
@@ -210,23 +228,25 @@ def test_modular_rules_random(a, b):
 
 
 def test_maximal_elements():
-    assert z_is_maximal(z_modular(7))
-    assert not z_is_maximal(z_modular(12))
-    assert z_is_maximal(z_zero_kernel(NO_PRIMES))
-    assert not z_is_maximal(z_zero_kernel(PrimeSet(False, {3})))
-    assert not z_is_maximal(z_least())
-    # pool-relative confirmation: nothing but TOP strictly above a maximal one
+    assert is_maximal_over_z(z_modular(7))
+    assert not is_maximal_over_z(z_modular(12))
+    assert is_maximal_over_z(z_zero_kernel(NO_PRIMES))
+    assert not is_maximal_over_z(z_zero_kernel(PrimeSet(False, {3})))
+    assert not is_maximal_over_z(LEAST)
+    # pool-relative confirmation: nothing but TOP strictly above a maximal
+    # one, and something above every other, once the pool holds pZ for a
+    # prime factor p of each modulus
     pool = element_pool(33, 40)
+    pool += [z_modular(min(primefactors(x.modulus))) for x in pool if x.is_modular]
     for x in pool:
         strictly_above = [
             y for y in pool if y != x and z_leq(x, y)
         ]
-        if z_is_maximal(x):
-            assert not strictly_above, (x, strictly_above)
+        assert is_maximal_over_z(x) == (not strictly_above), (x, strictly_above)
 
 
 def test_least_is_below_everything():
-    bot = z_least()
+    bot = LEAST
     for y in element_pool(7, 50) + [TOP]:
         assert z_leq(bot, y)
 
@@ -271,7 +291,7 @@ def test_exponent_vector_shapes():
     assert value_at(v, 2) == 2 and value_at(v, 7) == 0
     w = exponent_vector(z_zero_kernel(PrimeSet(False, {3})))
     assert w.slot == 1 and value_at(w, 3) == math.inf and value_at(w, 2) == 0
-    u = exponent_vector(z_least())
+    u = exponent_vector(LEAST)
     assert u.default == math.inf and u.overrides == () and u.slot == 1
     c = exponent_vector(z_zero_kernel(PrimeSet(True, {5})))
     assert value_at(c, 5) == 0 and value_at(c, 11) == math.inf
@@ -284,13 +304,13 @@ def test_format_parse_round_trip():
         z_zero_kernel(PrimeSet(False, {2, 3})),
         z_zero_kernel(PrimeSet(True, {5})),
         z_zero_kernel(NO_PRIMES),
-        z_least(),
+        LEAST,
     ]
     for x in samples:
         assert parse_z_element(format_z_element(x)) == x
     assert format_z_element(z_modular(12)) == "n:12"
     assert format_z_element(z_zero_kernel(PrimeSet(False, {3, 2}))) == "0:P=2,3"
-    assert format_z_element(z_least()) == "0:coP="
+    assert format_z_element(LEAST) == "0:coP="
     assert format_z_element(TOP) == "TOP"
 
 
@@ -301,7 +321,7 @@ def test_parse_errors():
 
 
 def test_sort_key_orders_modular_then_kernel():
-    xs = [z_least(), z_modular(6), z_zero_kernel(NO_PRIMES), z_modular(2)]
+    xs = [LEAST, z_modular(6), z_zero_kernel(NO_PRIMES), z_modular(2)]
     xs.sort(key=z_sort_key)
     assert [format_z_element(x) for x in xs] == ["n:2", "n:6", "0:P=", "0:coP="]
 
@@ -353,9 +373,7 @@ def test_pair_of_finite_ring_by_unit_scan():
         make_product(make_zmod(4), make_zmod(9)),
     ]
     for ring in rings:
-        x = z_pair_of_finite_ring(ring)
-        assert x == z_modular(ring.characteristic)
-        char = ring.characteristic
+        char = z_pair_of_finite_ring(ring).modulus
         for k in range(char):
             idx = ring.zero
             for _ in range(k):
