@@ -14,13 +14,14 @@ Ring descriptions are colon-joined prefix terms:
   matrix:2:gf:2:1                 2x2 matrices over the field of order 2
   quot:zmod:12:gens=4             quotient by the ideal generated by 4
 
-Exit codes: 0 success, 1 internal error or failed oracle claims, 2 bad
-input, 3 size cap exceeded, 4 degenerate request.
+Exit codes: 0 success, 1 internal error, failed oracle claims or closed
+stdout, 2 bad input, 3 size cap exceeded, 4 degenerate request.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import Caps, caps_from_env
@@ -160,21 +161,38 @@ def render_hom_dot(ring, poset) -> str:
     return "\n".join(lines)
 
 
+def _json_array(items, pad: str) -> str:
+    """json.dumps's indent=2 layout of a list of rendered items opened at depth pad."""
+    inner = pad + "  "
+    body = f",\n{inner}".join(items)
+    return f"[\n{inner}{body}\n{pad}]" if body else "[]"
+
+
 def render_hom_json(ring, poset, description) -> str:
-    elements = [
-        {"ideal": ideal, "mset": mset} for _, ideal, mset in _element_rows(poset)
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2), written by joins.
+
+    json.dumps with an indent runs the pure-Python encoder (the C encoder
+    serves only indent=None), so the layout is written here directly; the
+    tests compare it with json.dumps.
+    """
+    items = [
+        f'{{\n      "ideal": {_json_array(map(str, ideal), "      ")},\n'
+        f'      "mset": {_json_array(map(str, mset), "      ")}\n    }}'
+        for _, ideal, mset in _element_rows(poset)
     ]
     if poset.top_adjoined:
-        elements.append({"top": True})
-    payload = {
-        "ring": description,
-        "label": ring_label(ring),
-        "size": ring.size,
-        "bar": poset.top_adjoined,
-        "elements": elements,
-        "hasse": [list(e) for e in hasse(poset)],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+        items.append('{\n      "top": true\n    }')
+    edges = [_json_array(map(str, e), "    ") for e in hasse(poset)]
+    return (
+        "{\n"
+        f'  "bar": {"true" if poset.top_adjoined else "false"},\n'
+        f'  "elements": {_json_array(items, "  ")},\n'
+        f'  "hasse": {_json_array(edges, "  ")},\n'
+        f'  "label": {json.dumps(ring_label(ring))},\n'
+        f'  "ring": {json.dumps(description)},\n'
+        f'  "size": {ring.size}\n'
+        "}"
+    )
 
 
 def cmd_hom(args, caps) -> int:
@@ -271,16 +289,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main() call and kept for the process; parse_args leaves
+# the parser as it found it, and the parser holds no ring state
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         caps = caps_from_env()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        return args.run(args, caps)
+        code = args.run(args, caps)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # the flush at exit cannot raise again (see "Note on SIGPIPE" in the
+        # signal module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CapExceeded as e:
         print(f"error: size cap exceeded: {e}", file=sys.stderr)
         return 3

@@ -31,7 +31,10 @@ def caps_from_env() -> Caps:
     raw = os.environ.get(ENV_TABLE_CAP)
     if raw is None:
         return DEFAULT_CAPS
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise ValueError(f"{ENV_TABLE_CAP} must be positive, got {value}")
+        raise ValueError(f"{ENV_TABLE_CAP} must be a positive integer, got {raw!r}")
     return Caps(table_size=value, morphism_search=DEFAULT_CAPS.morphism_search)

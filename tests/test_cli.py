@@ -1,13 +1,17 @@
 """Command line behavior: grammar, renderings, exit codes, env override."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from homposet.cli import format_ring, main, parse_ring
-from homposet.config import DEFAULT_CAPS
-from homposet.rings import make_product, make_zmod
+from homposet import cli
+from homposet.cli import format_ring, main, parse_ring, render_hom_json
+from homposet.config import DEFAULT_CAPS, Caps
+from homposet.oracle import build_catalog
+from homposet.poset import hasse, hom_poset
+from homposet.rings import make_product, make_zmod, ring_label
 
 
 def run(capsys, *argv):
@@ -108,21 +112,122 @@ def test_hom_dot_golden(capsys):
     )
 
 
+# json.dumps(payload, sort_keys=True, indent=2) plus print's newline
+HOM_JSON_ZMOD6_BAR = """\
+{
+  "bar": true,
+  "elements": [
+    {
+      "ideal": [
+        0
+      ],
+      "mset": [
+        1,
+        5
+      ]
+    },
+    {
+      "ideal": [
+        0,
+        3
+      ],
+      "mset": [
+        1,
+        2,
+        4,
+        5
+      ]
+    },
+    {
+      "ideal": [
+        0,
+        2,
+        4
+      ],
+      "mset": [
+        1,
+        3,
+        5
+      ]
+    },
+    {
+      "top": true
+    }
+  ],
+  "hasse": [
+    [
+      0,
+      1
+    ],
+    [
+      0,
+      2
+    ],
+    [
+      1,
+      3
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "label": "Z/6",
+  "ring": "zmod:6",
+  "size": 6
+}
+"""
+
+
 def test_hom_json_golden(capsys):
     code, out, _ = run(capsys, "hom", "zmod:6", "--bar", "--format", "json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["ring"] == "zmod:6"
-    assert payload["label"] == "Z/6"
-    assert payload["size"] == 6
-    assert payload["bar"] is True
-    assert payload["elements"] == [
-        {"ideal": [0], "mset": [1, 5]},
-        {"ideal": [0, 3], "mset": [1, 2, 4, 5]},
-        {"ideal": [0, 2, 4], "mset": [1, 3, 5]},
-        {"top": True},
-    ]
-    assert payload["hasse"] == [[0, 1], [0, 2], [1, 3], [2, 3]]
+    assert out == HOM_JSON_ZMOD6_BAR
+
+
+def reference_hom_json(ring, poset, description):
+    """The writer's specification: the payload through json.dumps."""
+    elements = [{"ideal": sorted(p.ideal), "mset": sorted(p.mset)} for p in poset.elements]
+    if poset.top_adjoined:
+        elements.append({"top": True})
+    payload = {
+        "ring": description,
+        "label": ring_label(ring),
+        "size": ring.size,
+        "bar": poset.top_adjoined,
+        "elements": elements,
+        "hasse": [list(e) for e in hasse(poset)],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+# the benchmark's hom ladder, read at HOMPOSET_TABLE_CAP=256
+HOM_LADDER = (
+    "zmod:64",
+    "zmod:128",
+    "gf:2:6",
+    "gf:2:7",
+    "product:zmod:8:zmod:16",
+    "product:zmod:4:product:zmod:4:zmod:4",
+    ":".join(["product:zmod:2"] * 6 + ["zmod:2"]),
+    "matrix:2:zmod:3",
+    "quot:zmod:256:gens=64",
+)
+
+
+def test_hom_json_matches_json_dumps():
+    caps = Caps(table_size=256, morphism_search=DEFAULT_CAPS.morphism_search)
+    rings = [(format_ring(r), r) for r in build_catalog(32).rings]
+    rings += [(d, parse_ring(d, caps)) for d in HOM_LADDER]
+    no_covers = 0
+    for description, ring in rings:
+        for bar in (False, True):
+            poset = hom_poset(ring, adjoin_top=bar)
+            no_covers += not hasse(poset)
+            assert render_hom_json(ring, poset, description) == reference_hom_json(
+                ring, poset, description
+            ), (description, bar)
+    assert no_covers > 0  # singleton posets write "hasse": []
 
 
 def test_hom_json_bytes_stable(capsys):
@@ -169,9 +274,10 @@ def test_exit_degenerate_oracle(capsys):
 
 
 def test_exit_bad_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HOMPOSET_TABLE_CAP", "not-an-int")
+    monkeypatch.setenv("HOMPOSET_TABLE_CAP", "abc")
     code, _, err = run(capsys, "hom", "zmod:6")
-    assert code == 2 and "error:" in err
+    assert code == 2
+    assert err == "error: HOMPOSET_TABLE_CAP must be a positive integer, got 'abc'\n"
 
 
 def test_env_override_raises_cap(capsys, monkeypatch):
@@ -185,6 +291,37 @@ def test_env_override_lowers_cap(capsys, monkeypatch):
     monkeypatch.setenv("HOMPOSET_TABLE_CAP", "10")
     code, _, err = run(capsys, "hom", "zmod:12")
     assert code == 3
+
+
+def test_main_builds_one_parser_for_many_calls(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+
+    with pytest.raises(SystemExit) as usage:
+        main(["hom"])
+    assert usage.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: homposet hom")
+    with pytest.raises(SystemExit) as help_:
+        main(["hom", "--help"])
+    assert help_.value.code == 0
+    assert "--bar" in capsys.readouterr().out
+
+    # the environment is read on every call, not when the parser is built
+    monkeypatch.setenv("HOMPOSET_TABLE_CAP", "150")
+    assert run(capsys, "hom", "zmod:100")[0] == 0
+    monkeypatch.delenv("HOMPOSET_TABLE_CAP")
+    assert run(capsys, "hom", "zmod:100")[0] == 3
+
+    argv = ["hom", "product:zmod:4:zmod:9", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "homposet.cli", *argv], capture_output=True, text=True
+    )
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +400,22 @@ def test_module_invocation_subprocess():
         text=True,
     )
     assert bad.returncode == 3
+
+
+def test_closed_stdout_exits_quietly():
+    # about 0.2 MB of JSON, more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homposet.cli", "hom", "zmod:1020", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "HOMPOSET_TABLE_CAP": "1024"},
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode != 0
+    assert err == b""
