@@ -73,6 +73,9 @@ def _chain(src: FiniteRing) -> tuple:
 
 @per_ring
 def _morphisms_cached(src: FiniteRing, tgt: FiniteRing) -> tuple:
+    # f(1) = 1, so the additive order of 1 in tgt divides its order in src
+    if src.additive_orders[src.one] % tgt.additive_orders[tgt.one]:
+        return ()
     chain = _chain(src)
     elems = chain[-1][2]
     tadd, tmul = tgt.add_table, tgt.mul_table
@@ -141,7 +144,8 @@ def epi_obstruction_invariants(f: RingMorphism) -> tuple:
     def c_add(i, j):
         return c_index[rep_of[tgt.add_table[creps[i]][creps[j]]]]
 
-    s_gens, s_expr, s_rels = group_presentation(tgt.size, tgt.add, tgt.zero)
+    s_gens, s_expr, s_rels = group_presentation(
+        tgt.size, lambda a, b: tgt.add_table[a][b], tgt.zero)
     c_gens, c_expr, c_rels = group_presentation(len(creps), c_add, c_index[rep_of[tgt.zero]])
     r_gens = src.additive_basis
 
@@ -248,18 +252,15 @@ def decompose_product_morphism(f: RingMorphism) -> ProductDecomposition:
 def rebuild_product_morphism(dec: ProductDecomposition) -> RingMorphism:
     """Reassemble f(r1, r2) = g1(r1) + g2(r2) from a decomposition."""
     f = dec.morphism
-    src, tgt = f.source, f.target
-    r1, r2 = product_factors(src)
-    n2 = r2.size
+    add = f.target.add_table
+    ys2 = [dec.members2[y] for y in dec.to_corner2.images]
     images = []
-    for a in range(r1.size):
-        ya = dec.members1[dec.to_corner1.images[a]]
-        for b in range(n2):
-            yb = dec.members2[dec.to_corner2.images[b]]
-            images.append(tgt.add(ya, yb))
+    for y in dec.to_corner1.images:
+        row = add[dec.members1[y]]
+        images.extend([row[yb] for yb in ys2])
     # built unchecked: the corner-split claim compares it with f, so a wrong
     # rebuild is reported there rather than raised here
-    return RingMorphism._trusted(src, tgt, images)
+    return RingMorphism._trusted(f.source, f.target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +317,13 @@ def denominator_analysis(ring: FiniteRing, tset) -> DenominatorReport:
     zero = ring.zero
     n = ring.size
 
+    # R.t for each t, built once for every r below
+    left_multiples = {t: {row[t] for row in mul} for t in members}
     left_ore = True
     for r in range(n):
         for t in members:
             # need T.r meet R.t nonempty
-            targets = {mul[x][t] for x in range(n)}
+            targets = left_multiples[t]
             if all(mul[u][r] not in targets for u in members):
                 left_ore = False
                 break
@@ -343,7 +346,9 @@ def denominator_analysis(ring: FiniteRing, tset) -> DenominatorReport:
     fraction_ring = None
     fraction_map = None
     if left_denom:
-        ass_ideal = Ideal(ring, ass)
+        # ass(T) of a left Ore set is a two-sided ideal; the oracle claim
+        # fraction-pairs checks it
+        ass_ideal = Ideal._trusted(ring, ass)
         if ass_ideal.is_proper:
             fraction_ring, fraction_map = make_quotient(ring, ass_ideal)
         # an improper ass ideal means T meets the annihilator of everything

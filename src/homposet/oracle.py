@@ -65,6 +65,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingMorphism,
+    _is_ideal,
     check_table_axioms,
     compose,
     ideal_generated_by,
@@ -664,10 +665,18 @@ def _claim_fiber_least(ctx):
 
 
 def _claim_local_criterion(ctx):
+    # jacobson_radical builds its ideal unchecked, so each source's is
+    # checked here, once
+    radicals = {}
     checked = 0
     for f in ctx.all_morphisms():
         checked += 1
-        radical = f.kernel_members <= jacobson_radical(f.source).members
+        src = f.source
+        if src not in radicals:
+            jac = radicals[src] = jacobson_radical(src).members
+            if not _is_ideal(src, jac):
+                return checked, f"{ring_label(src)}: radical {sorted(jac)} is not an ideal"
+        radical = f.kernel_members <= radicals[src]
         if is_local_morphism(f) != radical:
             return checked, (
                 f"{f!r}: unit reflection and the radical criterion disagree"
@@ -715,6 +724,12 @@ def _claim_fraction_pairs(ctx):
             if not rep.is_left_denominator or rep.fraction_ring is None:
                 continue
             checked += 1
+            # denominator_analysis builds ass(T) unchecked
+            if not _is_ideal(r, rep.ass_ideal.members):
+                return checked, (
+                    f"ass(T) of T={sorted(members)} over {ring_label(r)} is not an ideal: "
+                    f"{sorted(rep.ass_ideal.members)}"
+                )
             realized = hom_poset(r).index
             frac_pair = pair_of_morphism(rep.fraction_map)
             if frac_pair not in realized:

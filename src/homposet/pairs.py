@@ -125,7 +125,8 @@ def leq(p, q) -> bool:
         return True
     if p is TOP:
         return False
-    if p.ring != q.ring:
+    # identity first: != runs FiniteRing.__eq__ in Python even on one object
+    if p.ring is not q.ring and p.ring != q.ring:
         raise RingMismatch("pairs over different rings are incomparable")
     return p.ideal <= q.ideal and p.mset <= q.mset
 
@@ -141,7 +142,7 @@ def meet(p, q):
         return q
     if q is TOP:
         return p
-    if p.ring != q.ring:
+    if p.ring is not q.ring and p.ring != q.ring:
         raise RingMismatch("pairs over different rings have no meet")
     if p.ideal <= q.ideal and p.mset <= q.mset:
         return p

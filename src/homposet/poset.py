@@ -57,9 +57,10 @@ class HomPoset:
         return {p: i for i, p in enumerate(self.elements)}
 
     @cached_property
-    def of_ideal(self) -> dict:
-        """Each pair keyed by its ideal's member set."""
-        return {p.ideal: p for p in self.elements}
+    def ideal_index(self) -> dict:
+        """Each element's index keyed by its ideal's member set, which
+        determines the element; a frozenset caches its own hash."""
+        return {p.ideal: i for i, p in enumerate(self.elements)}
 
     @cached_property
     def above(self) -> tuple:
@@ -75,6 +76,25 @@ class HomPoset:
             sum(1 << j for j in range(i + 1, len(ideals)) if ideal < ideals[j])
             for i, ideal in enumerate(ideals)
         )
+
+    @cached_property
+    def covers(self) -> tuple:
+        """Cover relations as index pairs (i, j) with element i covered by j.
+
+        The covers of i are its strict upset minus everything strictly
+        above some member of it.  TOP, when adjoined, takes index
+        len(elements) and covers the maximal pairs.  Edges come out sorted.
+        """
+        above = self.above
+        top = 1 << len(above) if self.top_adjoined else 0
+        edges = []
+        for i, up in enumerate(above):
+            beyond = 0
+            for j in _bits(up):
+                beyond |= above[j]
+            # an empty upset means i is maximal, covered by TOP alone if adjoined
+            edges.extend((i, j) for j in _bits(up & ~beyond or top))
+        return tuple(edges)
 
     @property
     def least(self) -> HomPair:
@@ -119,13 +139,22 @@ def join_ext(p, q, poset: HomPoset):
     """
     if p is TOP or q is TOP:
         return TOP
-    if p.ring != poset.ring or q.ring != poset.ring:
-        raise RingMismatch("pairs over different rings are incomparable")
-    i, j = poset.index[p], poset.index[q]
+    i, j = _position(poset, p), _position(poset, q)
     common = (poset.above[i] | 1 << i) & (poset.above[j] | 1 << j)
     if not common:
         return TOP
     return poset.elements[(common & -common).bit_length() - 1]
+
+
+def _position(poset: HomPoset, p: HomPair) -> int:
+    """The index of the element p, found by its ideal: RingMismatch for a
+    pair over another ring, KeyError for any other non-element."""
+    if p.ring is not poset.ring and p.ring != poset.ring:
+        raise RingMismatch("pairs over different rings are incomparable")
+    i = poset.ideal_index[p.ideal]
+    if poset.elements[i] is not p and poset.elements[i] != p:
+        raise KeyError(p)
+    return i
 
 
 def max_elements(poset: HomPoset) -> tuple:
@@ -153,11 +182,12 @@ def least_of_fiber(ring: FiniteRing, ideal) -> HomPair:
     poset's own element.  Members that are no ideal raise NotAnIdeal.
     """
     imembers = frozenset(getattr(ideal, "members", ideal))
-    pair = hom_poset(ring).of_ideal.get(imembers)
-    if pair is None:
+    poset = hom_poset(ring)
+    i = poset.ideal_index.get(imembers)
+    if i is None:
         Ideal(ring, imembers)  # raises NotAnIdeal unless an ideal
         raise ImproperIdeal("the whole ring carries no pair")
-    return pair
+    return poset.elements[i]
 
 
 def _units_plus(ring: FiniteRing, imembers: frozenset) -> frozenset:
@@ -204,7 +234,7 @@ def hom_functor(f: RingMorphism) -> PosetMap:
     images = []
     for p in dom.elements:
         pre_ideal = frozenset(i for i, y in enumerate(f.images) if y in p.ideal)
-        images.append(cod.index[cod.of_ideal[pre_ideal]])
+        images.append(cod.ideal_index[pre_ideal])
     return PosetMap(f, dom, cod, tuple(images))
 
 
@@ -242,12 +272,15 @@ def product_decompose_poset(prod: FiniteRing) -> PosetIso:
     """
     r1, r2 = product_factors(prod)
     n2 = r2.size
-    of1, of2 = hom_poset(r1).of_ideal, hom_poset(r2).of_ideal
+    bar1, bar2 = hom_poset(r1, adjoin_top=True), hom_poset(r2, adjoin_top=True)
+    # the improper factor ideal has no index; -1 picks TOP, listed last
+    els1, els2 = tuple(bar1), tuple(bar2)
     forward = {TOP: (TOP, TOP)}
     for p in hom_poset(prod).elements:
         i1 = frozenset(i // n2 for i in p.ideal)
         i2 = frozenset(i % n2 for i in p.ideal)
-        forward[p] = (of1.get(i1, TOP), of2.get(i2, TOP))
+        forward[p] = (els1[bar1.ideal_index.get(i1, -1)],
+                      els2[bar2.ideal_index.get(i2, -1)])
     backward = {v: k for k, v in forward.items()}
     return PosetIso(prod, r1, r2, forward, backward)
 
@@ -378,22 +411,9 @@ def limit_exchange_check(rings, maps) -> LimitExchangeReport:
 
 
 def hasse(poset: HomPoset) -> tuple:
-    """Cover relations as index pairs (i, j) with element i covered by j.
-
-    The covers of i are its strict upset minus everything strictly above
-    some member of it.  TOP, when adjoined, takes index len(elements) and
-    covers the maximal pairs.  Edges come out sorted.
-    """
-    above = poset.above
-    top = 1 << len(above) if poset.top_adjoined else 0
-    edges = []
-    for i, up in enumerate(above):
-        beyond = 0
-        for j in _bits(up):
-            beyond |= above[j]
-        # an empty upset means i is maximal, covered by TOP alone if adjoined
-        edges.extend((i, j) for j in _bits(up & ~beyond or top))
-    return tuple(edges)
+    """Cover relations as index pairs (i, j) with element i covered by j,
+    computed once per poset (HomPoset.covers)."""
+    return poset.covers
 
 
 def _bits(mask: int):

@@ -85,9 +85,6 @@ class FiniteRing:
         return f"FiniteRing({ring_label(self)}, size={self.size})"
 
     # elementwise operations on carrier indices
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
     def sub(self, a: int, b: int) -> int:
         return self.add_table[a][self.neg_table[b]]
 
@@ -402,7 +399,7 @@ def compose(outer: RingMorphism, inner: RingMorphism) -> RingMorphism:
 
 
 def _freeze(table) -> tuple:
-    return tuple(tuple(row) for row in table)
+    return tuple(map(tuple, table))
 
 
 def _from_tables(add, mul, zero, one, provenance, allow_trivial=False) -> FiniteRing:
@@ -759,8 +756,11 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Componentwise ring on the cartesian carrier; index (a, b) = a*|R2| + b.
 
-    Row (a1, a2) of each table is one comprehension over the factor rows
-    a1 and a2.
+    Rows are gathered from grid, the index blocks grid[v] = (v*n2, ...,
+    v*n2 + n2-1).  lift2[a2] reads every block at factor row a2, so entry
+    (v, x) is (v, row2[x]); lift1[a1] picks the entries (row1[v], x) of
+    such a tuple.  So row (a1, a2) is lift1[a1](lift2[a2]), built in C,
+    and every entry of both tables is one of the size ints in grid.
     """
     if r1.size < 2 or r2.size < 2:
         raise ZeroRingExcluded("product factors must have 1 != 0")
@@ -768,9 +768,13 @@ def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> F
     if size > caps.table_size:
         raise CapExceeded(f"{size} > table cap {caps.table_size}")
     n2 = r2.size
+    grid = [tuple(range(v, v + n2)) for v in range(0, size, n2)]
+    flat = itertools.chain.from_iterable
 
     def rows(t1, t2):
-        return [[v * n2 + x for v in row1 for x in row2] for row1 in t1 for row2 in t2]
+        lift2 = [tuple(flat(map(itemgetter(*row2), grid))) for row2 in t2]
+        lift1 = [itemgetter(*flat(itemgetter(*row1)(grid))) for row1 in t1]
+        return [pick(row) for pick in lift1 for row in lift2]
 
     add, mul = rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table)
     zero = r1.zero * n2 + r2.zero
@@ -814,23 +818,20 @@ def make_quotient(ring: FiniteRing, ideal: Ideal):
     if not ideal.is_proper:
         raise ImproperIdeal("cannot quotient by the whole ring")
     members = ideal.members
-    add = ring.add_table
     rep, reps = coset_reps(ring, members)
-    qidx = {r: i for i, r in enumerate(reps)}
-    qsize = len(reps)
-    qadd = [[qidx[rep[add[reps[i]][reps[j]]]] for j in range(qsize)] for i in range(qsize)]
-    qmul = [
-        [qidx[rep[ring.mul_table[reps[i]][reps[j]]]] for j in range(qsize)]
-        for i in range(qsize)
-    ]
+    # proj[x] is the quotient index of x's coset; a proper ideal leaves at
+    # least two cosets, so each getter below returns a tuple
+    proj = itemgetter(*rep)({r: i for i, r in enumerate(reps)})
+    at_reps = itemgetter(*reps)
+
+    def rows(table):
+        return [itemgetter(*at_reps(table[r]))(proj) for r in reps]
+
     quotient = _from_tables(
-        qadd, qmul, qidx[rep[ring.zero]], qidx[rep[ring.one]],
+        rows(ring.add_table), rows(ring.mul_table), proj[ring.zero], proj[ring.one],
         ("quotient", ring, tuple(sorted(members))),
     )
-    projection = RingMorphism._trusted(
-        ring, quotient, (qidx[rep[x]] for x in range(ring.size))
-    )
-    return quotient, projection
+    return quotient, RingMorphism._trusted(ring, quotient, proj)
 
 
 def is_field(ring: FiniteRing) -> bool:
@@ -846,7 +847,7 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
     only the rows of matrices with one entry off zero are multiplied out.
     """
     if not is_field(base):
-        raise BaseNotField(ring_label(base))
+        raise BaseNotField(f"matrix rings need a field base, got {ring_label(base)}")
     if k < 1:
         raise ValueError("k must be >= 1")
     q = base.size
@@ -927,8 +928,9 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
 
     x belongs iff 1 + r*x is a unit for every r (Lam, A First Course in
     Noncommutative Rings, Lemma 4.1, with the one-sided inverse it asks
-    for two-sided because the ring is finite); the resulting set is
-    verified to be an ideal by the Ideal constructor.
+    for two-sided because the ring is finite).  That set is an ideal by
+    the same lemma, so it is built unchecked; the oracle claim
+    local-criterion checks it.
     """
     mul, one_row = ring.mul_table, ring.add_table[ring.one]
     units = ring.unit_indices
@@ -936,7 +938,7 @@ def jacobson_radical(ring: FiniteRing) -> Ideal:
         x for x in range(ring.size)
         if all(one_row[row[x]] in units for row in mul)
     ]
-    return Ideal(ring, frozenset(members))
+    return Ideal._trusted(ring, members)
 
 
 class _Outgrown(ValueError):

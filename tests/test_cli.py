@@ -262,6 +262,12 @@ def test_exit_generator_out_of_range(capsys):
     assert code == 2 and "generator index out of range" in err
 
 
+def test_exit_matrix_over_non_field_names_the_base(capsys):
+    code, out, err = run(capsys, "hom", "matrix:2:zmod:8")
+    assert code == 2 and out == ""
+    assert err == "error: matrix rings need a field base, got Z/8\n"
+
+
 def test_exit_cap_exceeded(capsys):
     code, _, err = run(capsys, "hom", "zmod:100")
     assert code == 3 and "cap" in err

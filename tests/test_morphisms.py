@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homposet import morphisms
 from homposet.config import Caps
 from homposet.errors import CapExceeded, NotAProduct, NotComposable
 from homposet.morphisms import (
@@ -214,6 +215,18 @@ def test_morphism_search_is_sorted_and_cached():
     a = enumerate_morphisms(z6, z6)
     assert list(a) == sorted(a, key=lambda f: f.images)
     assert enumerate_morphisms(z6, z6) is a
+
+
+def test_characteristic_cut_skips_the_search(monkeypatch):
+    # f(1) = 1 needs char S | char R, so Z/4 -> Z/3 is refuted before the
+    # search builds its chain of subrings
+    calls = []
+    chain = morphisms._chain
+    monkeypatch.setattr(morphisms, "_chain", lambda src: calls.append(src) or chain(src))
+    assert enumerate_morphisms(make_zmod(4), make_zmod(3)) == ()
+    assert calls == []
+    assert len(enumerate_morphisms(make_zmod(4), make_zmod(2))) == 1
+    assert len(calls) == 1
 
 
 def test_morphism_cap():

@@ -20,6 +20,7 @@ from homposet.oracle import (
 from homposet.pairs import pair_of_morphism, validate_pair
 from homposet.poset import hom_poset
 from homposet.rings import (
+    Ideal,
     RingMorphism,
     make_finite_field,
     make_matrix_ring,
@@ -494,6 +495,24 @@ def test_factor_stages_checks_each_stage_is_a_morphism(monkeypatch):
         "collapse stage of RingMorphism(Z/5 -> Z/5, [0, 1, 2, 3, 4]) is not a "
         "morphism: addition not preserved at (1,1)"
     )
+
+
+def test_unchecked_radical_and_ass_ideals_are_checked(monkeypatch):
+    # jacobson_radical and denominator_analysis build their ideals unchecked;
+    # a non-ideal from either fails its claim with the set as witness
+    def not_an_ideal(ring):
+        return Ideal._trusted(ring, {ring.one})  # lacks 0
+
+    analyse = oracle.denominator_analysis
+    monkeypatch.setattr(oracle, "jacobson_radical", not_an_ideal)
+    monkeypatch.setattr(oracle, "denominator_analysis", lambda ring, tset: replace(
+        analyse(ring, tset), ass_ideal=not_an_ideal(ring)))
+    local, fraction = (verify_theorems(build_catalog(8), only=key).claims[0]
+                       for key in ("local-criterion", "fraction-pairs"))
+    assert not local.ok and local.checked == 1
+    assert local.witness == "Z/2: radical [1] is not an ideal"
+    assert not fraction.ok and fraction.checked == 1
+    assert fraction.witness == "ass(T) of T=[1] over Z/2 is not an ideal: [1]"
 
 
 def test_factor_stages_checks_no_ideal(monkeypatch):

@@ -138,6 +138,16 @@ def test_meet_with_top_and_mismatch():
         meet(a, hom_poset(make_zmod(4)).least)
 
 
+def test_meet_and_leq_accept_table_equal_rings():
+    # rings compare by tables: a second Z/12 object is the same ring
+    p, q = hom_poset(make_zmod(12)).elements[1:3]
+    q2 = HomPair._trusted(make_zmod(12), q.ideal, q.mset)
+    assert q2.ring is not p.ring
+    assert meet(p, q2) == meet(p, q) and meet(q2, p) == meet(q, p)
+    assert leq(hom_poset(p.ring).least, q2)
+    assert leq(p, q2) == leq(p, q) and leq(q2, p) == leq(q, p)
+
+
 def test_meet_of_unrealized_pairs_is_componentwise():
     z6 = make_zmod(6)
     p = HomPair(z6, frozenset({0, 3}), frozenset({1, 5}))

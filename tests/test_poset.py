@@ -204,6 +204,28 @@ def test_join_rejects_pairs_over_another_ring():
         join_ext(bar.elements[0], other, bar)
 
 
+def test_join_rejects_a_pair_that_is_not_an_element():
+    # join_ext finds each argument by its ideal, then checks the element is
+    # the argument: the same ideal with another M is no element
+    bar = hom_poset(make_zmod(12), adjoin_top=True)
+    p = bar.elements[1]
+    impostor = HomPair._trusted(p.ring, p.ideal, p.mset | {0})
+    with pytest.raises(KeyError):
+        join_ext(impostor, bar.elements[0], bar)
+    with pytest.raises(KeyError):
+        join_ext(bar.elements[0], impostor, bar)
+    # a table-equal pair over a distinct ring object is an element
+    twin = bar.elements[2]
+    twin = HomPair._trusted(make_zmod(12), twin.ideal, twin.mset)
+    assert join_ext(p, twin, bar) == join_ext(p, bar.elements[2], bar)
+
+
+def test_hasse_is_computed_once_per_poset():
+    for bar in (False, True):
+        pst = hom_poset(make_zmod(12), adjoin_top=bar)
+        assert hasse(pst) is hasse(pst) is pst.covers
+
+
 def test_max_elements_and_greatest():
     z12 = hom_poset(make_zmod(12))
     mx = max_elements(z12)

@@ -153,6 +153,14 @@ def test_product_rejects_trivial_factor_and_cap():
         make_product(make_zmod(16), make_zmod(16))
 
 
+def test_product_tables_share_their_ints():
+    # every entry is one of the carrier's index objects
+    z32 = make_zmod(32)
+    p = make_product(z32, z32, Caps(table_size=1024))
+    ids = {id(v) for table in (p.add_table, p.mul_table) for row in table for v in row}
+    assert len(ids) == 1024
+
+
 def test_quotient_of_z6_by_two():
     z6 = make_zmod(6)
     q, pi = make_quotient(z6, ideal_generated_by(z6, (2,)))
@@ -187,7 +195,7 @@ def test_matrix_ring_m2_f2():
 
 
 def test_matrix_ring_needs_field_base():
-    with pytest.raises(BaseNotField):
+    with pytest.raises(BaseNotField, match=r"^matrix rings need a field base, got Z/4$"):
         make_matrix_ring(make_zmod(4), 2)
 
 
@@ -1204,11 +1212,37 @@ def test_matrix_ring_over_a_base_whose_zero_is_not_index_0():
 
 
 def test_product_tables_match_reference():
-    rings = build_catalog(16).rings
-    for i, r1 in enumerate(rings):
-        for r2 in rings[i:]:
-            wide = Caps(table_size=r1.size * r2.size)
-            assert make_product(r1, r2, wide) == reference_make_product(r1, r2), (r1, r2)
+    small = build_catalog(16).rings
+    pairs = [(r1, r2) for i, r1 in enumerate(small) for r2 in small[i:]]
+    rings = build_catalog(32).rings
+    pairs += [(r1, r2) for r1 in rings for r2 in rings if r1.size * r2.size <= 64]
+    z32 = make_zmod(32)
+    for r1, r2 in pairs + [(z32, z32)]:
+        wide = Caps(table_size=r1.size * r2.size)
+        assert make_product(r1, r2, wide) == reference_make_product(r1, r2), (r1, r2)
+
+
+def reference_make_quotient(ring, ideal) -> tuple:
+    """The earlier construction, kept as the reference: (add, mul, zero,
+    one, projection images), each entry looked up through the coset reps."""
+    rep, reps = coset_reps(ring, ideal.members)
+    qidx = {r: i for i, r in enumerate(reps)}
+
+    def rows(table):
+        return tuple(tuple(qidx[rep[table[a][b]]] for b in reps) for a in reps)
+
+    return (rows(ring.add_table), rows(ring.mul_table), qidx[rep[ring.zero]],
+            qidx[rep[ring.one]], tuple(qidx[rep[x]] for x in range(ring.size)))
+
+
+def test_quotient_tables_match_reference():
+    rings = build_catalog(32).rings + (make_zmod(1024, Caps(table_size=1024)),)
+    for ring in rings:
+        for ideal in proper_ideals(ring):
+            q, pi = make_quotient(ring, ideal)
+            assert (q.add_table, q.mul_table, q.zero, q.one, pi.images) == (
+                reference_make_quotient(ring, ideal)), (ring, ideal)
+            assert pi.source is ring and pi.target is q
 
 
 def test_unit_indices_match_pairwise_definition():
