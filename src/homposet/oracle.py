@@ -14,9 +14,10 @@ Many morphisms land on the same input, so a claim keeps what it derives
 for its own run only, keyed by distinct input: pair-invariants judges each
 distinct (ring, pair) once, functor-laws pulls back along each morphism
 once, and join-quotient closes each union of two ideals once.  Counts and
-witnesses still go per morphism or per pair of pairs.  The only memo that
-outlives a claim is the corner ring of each idempotent (morphisms._corner),
-kept on its target ring, so it dies with that ring.
+witnesses still go per morphism or per pair of pairs.  The only memos that
+outlive a claim are the corner ring of each idempotent (morphisms._corner),
+kept on its target ring, so it dies with that ring, and the battery's table
+of each catalog pair's morphisms, which dies with the run.
 """
 from __future__ import annotations
 
@@ -170,6 +171,10 @@ class _Ctx:
     def __init__(self, catalog: Catalog, caps: Caps):
         self.catalog = catalog
         self.caps = caps
+        # catalog rings live as long as the context, so no other object
+        # holds one of their ids meanwhile
+        self._position = {id(r): i for i, r in enumerate(catalog.rings)}
+        self._homs = [[None] * len(catalog.rings) for _ in catalog.rings]
 
     @cached_property
     def rings(self):
@@ -188,7 +193,15 @@ class _Ctx:
         return tuple(r for r in self.rings if r.provenance[0] == "product")
 
     def morphisms(self, src, tgt):
-        return enumerate_morphisms(src, tgt, self.caps)
+        """enumerate_morphisms, kept by catalog positions; a ring outside
+        the catalog goes to enumerate_morphisms on every call."""
+        i, j = self._position.get(id(src)), self._position.get(id(tgt))
+        if i is None or j is None:
+            return enumerate_morphisms(src, tgt, self.caps)
+        row = self._homs[i]
+        if row[j] is None:
+            row[j] = enumerate_morphisms(src, tgt, self.caps)
+        return row[j]
 
     def all_morphisms(self):
         for src in self.rings:
@@ -378,6 +391,10 @@ def _claim_corner_split(ctx):
 
 
 def _claim_product_poset(ctx):
+    """A product's ideals come from its factors' (I1 x I2, see
+    rings._known_ideals), so this compares a product-derived lattice with
+    its factors: the split and its order.  That the lattice is the
+    product's own is poset-search's check, by morphism search."""
     checked = 0
     for prod in ctx.product_rings:
         checked += 1

@@ -18,6 +18,7 @@ ring.  Maxima and Hasse covers come from the same table.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,8 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingMorphism,
+    _coprime_to,
+    _product_set,
     is_completely_prime,
     per_ring,
     product_factors,
@@ -190,8 +193,23 @@ def least_of_fiber(ring: FiniteRing, ideal) -> HomPair:
     return poset.elements[i]
 
 
+@per_ring
 def _units_plus(ring: FiniteRing, imembers: frozenset) -> frozenset:
-    """U(R) + I, the preimage of the units of R/I for a finite ring R."""
+    """U(R) + I, the preimage of the units of R/I for a finite ring R: over
+    Z/n with I = dZ/nZ the x prime to d, over a field U(R) for I = 0, over
+    R1 x R2 (U1 + I1) x (U2 + I2), and otherwise read off the tables."""
+    tag, n = ring.provenance[0], ring.size
+    if tag == "zmod":
+        return _coprime_to(math.gcd(n, *imembers), n)
+    if tag == "gf":
+        return ring.unit_indices if len(imembers) == 1 else ring.index_set
+    if tag == "product":
+        # I = I1 x I2 holds (a, 0) exactly when a is in I1, and (0, b) when b is in I2
+        r1, r2 = ring.provenance[1:]
+        n2, z1, z2 = r2.size, r1.zero * r2.size, r2.zero
+        i1 = frozenset([a for a in range(r1.size) if a * n2 + z2 in imembers])
+        i2 = frozenset([i - z1 for i in imembers if z1 <= i < z1 + n2])
+        return _product_set(_units_plus(r1, i1), _units_plus(r2, i2), n2)
     add = ring.add_table
     out = set()
     for u in ring.unit_indices:

@@ -10,6 +10,10 @@ Elements are plain ints.  All rings here have 1 != 0.  The one-element ring is
 rejected by every public constructor; only corner extraction (see
 morphisms.decompose_product_morphism) may build it, via _from_tables with
 allow_trivial=True.
+
+Z/n, GF(q) and products know their units and ideals from their construction
+(FiniteRing.unit_indices, _known_ideals), so they build their tables only
+when something reads add_table or mul_table.
 """
 from __future__ import annotations
 
@@ -84,6 +88,13 @@ class FiniteRing:
     def __repr__(self):
         return f"FiniteRing({ring_label(self)}, size={self.size})"
 
+    @classmethod
+    def _constructed(cls, size, zero, one, provenance):
+        """A ring whose provenance builds its tables on first read."""
+        ring = object.__new__(cls)
+        ring.__dict__.update(size=size, zero=zero, one=one, provenance=provenance)
+        return ring
+
     # elementwise operations on carrier indices
     def sub(self, a: int, b: int) -> int:
         return self.add_table[a][self.neg_table[b]]
@@ -100,10 +111,19 @@ class FiniteRing:
 
     @cached_property
     def unit_indices(self) -> frozenset:
-        # In an associative ring a unit's right inverse is unique, so the
-        # first 1 in its row is its two-sided inverse, and a non-unit fails
-        # the second test.  Tables here are trusted or axiom-checked, and the
-        # oracle claim regular-units re-derives the set.
+        # Z/n, GF(q) and products know their units (a product from its
+        # factors' units alone).  Otherwise: in an associative ring a unit's
+        # right inverse is unique, so the first 1 in its row is its two-sided
+        # inverse, and a non-unit fails the second test.  The oracle claim
+        # regular-units re-derives the set from the tables either way.
+        tag, n = self.provenance[0], self.size
+        if tag == "zmod":
+            return _coprime_to(n, n)
+        if tag == "gf":
+            return frozenset(range(1, n))
+        if tag == "product":
+            r1, r2 = self.provenance[1:]
+            return _product_set(r1.unit_indices, r2.unit_indices, r2.size)
         one = self.one
         mul = self.mul_table
         return frozenset(a for a, row in enumerate(mul)
@@ -160,6 +180,27 @@ class FiniteRing:
             for a in range(self.size)
             for b in range(a + 1, self.size)
         )
+
+
+class _Table:
+    """add_table or mul_table of a ring made by _constructed: the first read
+    builds both from the provenance and stores them on the ring, and those
+    plain attributes then shadow this non-data descriptor."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, ring, owner=None):
+        if ring is None:
+            return self
+        add, mul = _TABLES_OF[ring.provenance[0]](*ring.provenance[1:])
+        ring.__dict__.update(add_table=_freeze(add), mul_table=_freeze(mul))
+        return ring.__dict__[self.name]
+
+
+# set after @dataclass has made the fields, whose __init__ puts the tables
+# in the instance __dict__; a __getattr__ would slow every attribute read
+FiniteRing.add_table, FiniteRing.mul_table = _Table("add_table"), _Table("mul_table")
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +586,19 @@ def _table_generators(n: int, zero: int, tables) -> list:
 
 
 def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """Integers modulo n, carrier 0..n-1.
-
-    Addition row a is 0..n-1 rotated left by a, built by slicing.  When
-    a = b*c with b the least prime factor of a, multiplication row a is row
-    b read at row c, since a*y = b*(c*y) mod n; rows of primes and of 0
-    and 1 are computed entry by entry.
-    """
+    """Integers modulo n, carrier 0..n-1."""
     if n <= 1:
         raise ZeroRingExcluded(f"zmod needs n >= 2, got {n}")
     if n > caps.table_size:
         raise CapExceeded(f"{n} > table cap {caps.table_size}")
+    return FiniteRing._constructed(n, 0, 1, ("zmod", n))
+
+
+def _zmod_tables(n: int):
+    """Tables of Z/n.  Addition row a is 0..n-1 rotated left by a, built by
+    slicing.  When a = b*c with b the least prime factor of a,
+    multiplication row a is row b read at row c, since a*y = b*(c*y) mod n;
+    rows of primes and of 0 and 1 are computed entry by entry."""
     elems = tuple(range(n))
     add = [elems[a:] + elems[:a] for a in range(n)]
     least = [0] * n  # least prime factor of a composite a, else 0
@@ -571,7 +614,7 @@ def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
             mul.append(itemgetter(*mul[a // b])(mul[b]))
         else:
             mul.append(tuple([(a * y) % n for y in elems]))
-    return _from_tables(add, mul, 0, 1, ("zmod", n))
+    return add, mul
 
 
 def is_prime(n: int) -> bool:
@@ -717,9 +760,7 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 
     Elements are encoded base p, low coefficient in the least significant
     digit, so index i is the polynomial sum(digit_j * x^j).  For k = 1 the
-    tables coincide with make_zmod(p).  Addition rows are composed from the
-    rows of one-term polynomials (_digit_add_rows); multiplication row a is
-    the exp table rotated by log a, read at the logs.
+    tables coincide with make_zmod(p).
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -728,7 +769,14 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     q = p**k
     if q > caps.table_size:
         raise CapExceeded(f"{q} > table cap {caps.table_size}")
-    modulus = _smallest_irreducible(p, k)
+    return FiniteRing._constructed(q, 0, 1, ("gf", p, k, _smallest_irreducible(p, k)))
+
+
+def _field_tables(p: int, k: int, modulus: tuple):
+    """Tables of GF(p**k).  Addition rows are composed from the rows of
+    one-term polynomials (_digit_add_rows); multiplication row a is the exp
+    table rotated by log a, read at the logs."""
+    q = p**k
     polys = [_digits(i, p, k) for i in range(q)]
     add = _digit_add_rows([[(a + b) % p for b in range(p)] for a in range(p)], 0, k)
     # the multiplicative group is cyclic: with exp listing the powers of a
@@ -750,25 +798,30 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     # row a is [0] + exp rotated by log a, read at 0 for b = 0 and at 1 + log b
     at_logs = itemgetter(0, *[1 + log[b] for b in range(1, q)])
     mul = [(0,) * q] + [at_logs([0] + exp2[log[a]:log[a] + order]) for a in range(1, q)]
-    return _from_tables(add, mul, 0, 1, ("gf", p, k, modulus))
+    return add, mul
 
 
 def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """Componentwise ring on the cartesian carrier; index (a, b) = a*|R2| + b.
-
-    Rows are gathered from grid, the index blocks grid[v] = (v*n2, ...,
-    v*n2 + n2-1).  lift2[a2] reads every block at factor row a2, so entry
-    (v, x) is (v, row2[x]); lift1[a1] picks the entries (row1[v], x) of
-    such a tuple.  So row (a1, a2) is lift1[a1](lift2[a2]), built in C,
-    and every entry of both tables is one of the size ints in grid.
-    """
+    """Componentwise ring on the cartesian carrier; index (a, b) = a*|R2| + b."""
     if r1.size < 2 or r2.size < 2:
         raise ZeroRingExcluded("product factors must have 1 != 0")
-    size = r1.size * r2.size
+    n2 = r2.size
+    size = r1.size * n2
     if size > caps.table_size:
         raise CapExceeded(f"{size} > table cap {caps.table_size}")
+    return FiniteRing._constructed(size, r1.zero * n2 + r2.zero, r1.one * n2 + r2.one,
+                                   ("product", r1, r2))
+
+
+def _product_tables(r1: FiniteRing, r2: FiniteRing):
+    """Tables of R1 x R2.  Rows are gathered from grid, the index blocks
+    grid[v] = (v*n2, ..., v*n2 + n2-1).  lift2[a2] reads every block at
+    factor row a2, so entry (v, x) is (v, row2[x]); lift1[a1] picks the
+    entries (row1[v], x) of such a tuple.  So row (a1, a2) is
+    lift1[a1](lift2[a2]), built in C, and every entry of both tables is one
+    of the size ints in grid."""
     n2 = r2.size
-    grid = [tuple(range(v, v + n2)) for v in range(0, size, n2)]
+    grid = [tuple(range(v, v + n2)) for v in range(0, r1.size * n2, n2)]
     flat = itertools.chain.from_iterable
 
     def rows(t1, t2):
@@ -776,10 +829,20 @@ def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> F
         lift1 = [itemgetter(*flat(itemgetter(*row1)(grid))) for row1 in t1]
         return [pick(row) for pick in lift1 for row in lift2]
 
-    add, mul = rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table)
-    zero = r1.zero * n2 + r2.zero
-    one = r1.one * n2 + r2.one
-    return _from_tables(add, mul, zero, one, ("product", r1, r2))
+    return rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table)
+
+
+_TABLES_OF = {"zmod": _zmod_tables, "gf": _field_tables, "product": _product_tables}
+
+
+def _product_set(s1, s2, n2: int) -> frozenset:
+    """The indices a*n2 + b of the pairs (a, b) in s1 x s2."""
+    return frozenset([a + b for a in [a * n2 for a in s1] for b in s2])
+
+
+def _coprime_to(d: int, n: int) -> frozenset:
+    """The x in 0..n-1 prime to d: U(Z/n) + dZ/nZ for d | n."""
+    return frozenset(x for x in range(n) if math.gcd(x, d) == 1)
 
 
 def product_factors(ring: FiniteRing):
@@ -1023,7 +1086,30 @@ def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
 
 @per_ring
 def enumerate_ideals(ring: FiniteRing) -> tuple:
-    """All two-sided ideals, sorted by size then member order.
+    """All two-sided ideals, sorted by size then member order: those the
+    construction knows (_known_ideals), else those _closed_ideals finds."""
+    lattice = _known_ideals(ring) or _closed_ideals(ring)
+    ordered = sorted(lattice, key=lambda m: (len(m), sorted(m)))
+    return tuple(Ideal._trusted(ring, m) for m in ordered)
+
+
+def _known_ideals(ring: FiniteRing):
+    """The ideals of Z/n (dZ/nZ for d | n), of a field (0 and itself) and of
+    R1 x R2 (I1 x I2), or None; poset-search checks them by search."""
+    tag, n = ring.provenance[0], ring.size
+    if tag == "zmod":
+        return [range(0, n, d) for d in range(1, n + 1) if n % d == 0]
+    if tag == "gf":
+        return [(0,), ring.index_set]
+    if tag == "product":
+        r1, r2 = ring.provenance[1:]
+        return [_product_set(i1.members, i2.members, r2.size)
+                for i1 in enumerate_ideals(r1) for i2 in enumerate_ideals(r2)]
+    return None
+
+
+def _closed_ideals(ring: FiniteRing) -> dict:
+    """Every ideal of a table ring, keyed by member set.
 
     Every ideal is a finite sum of principal ones.  Starting from {0}, each
     distinct principal ideal P, smallest first, is added to every ideal
@@ -1066,8 +1152,7 @@ def enumerate_ideals(ring: FiniteRing) -> tuple:
             for c in p_basis:
                 sub.extend(c)
             lattice.setdefault(frozenset(sub.elems), tuple(sub.basis))
-    ordered = sorted(lattice, key=lambda m: (len(m), sorted(m)))
-    return tuple(Ideal._trusted(ring, m) for m in ordered)
+    return lattice
 
 
 def proper_ideals(ring: FiniteRing) -> tuple:

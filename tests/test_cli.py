@@ -273,6 +273,20 @@ def test_exit_cap_exceeded(capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("description, code, message", [
+    ("zmod:65", 3, "size cap exceeded: 65 > table cap 64"),
+    ("gf:2:7", 3, "size cap exceeded: 128 > table cap 64"),
+    ("product:zmod:16:zmod:16", 3, "size cap exceeded: 256 > table cap 64"),
+    ("product:zmod:8:gf:3:2", 3, "size cap exceeded: 72 > table cap 64"),
+    ("zmod:1", 2, "zmod needs n >= 2, got 1"),
+    ("gf:4:1", 2, "4 is not prime"),
+    ("gf:2:0", 2, "k must be >= 1"),
+])
+def test_constructors_refuse_at_their_sizes(capsys, description, code, message):
+    # rings that build their tables on first read still refuse at once
+    assert run(capsys, "hom", description) == (code, "", f"error: {message}\n")
+
+
 def test_exit_degenerate_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "--bound", "1")
     assert code == 4

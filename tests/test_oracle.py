@@ -302,11 +302,11 @@ print(json.dumps({"optimize": sys.flags.optimize, "fault": fault, "witnesses": w
 """
 
 
-def _fault_run(*flags):
+def _fault_run(script, *flags):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, *flags, "-c", FAULT_RUN],
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -315,7 +315,7 @@ def _fault_run(*flags):
 def test_faults_are_caught_under_python_O():
     # every claim detects its failures without assert statements, so -O
     # changes nothing: same report, same witnesses
-    plain, optimized = _fault_run(), _fault_run("-O")
+    plain, optimized = _fault_run(FAULT_RUN), _fault_run(FAULT_RUN, "-O")
     assert (plain.pop("optimize"), optimized.pop("optimize")) == (0, 1)
     assert optimized == plain
     lines = optimized["fault"].splitlines()
@@ -341,6 +341,47 @@ def test_faults_are_caught_under_python_O():
         "local-criterion": "RingMorphism(Z/6 -> Z/2, [0, 1, 0, 1, 0, 1]): "
                            "unit reflection and the radical criterion disagree",
     }
+
+
+# Faults in what Z/n and products know of themselves, injected before each
+# catalog is built, so that no ring has read the sound fact already.
+CONSTRUCTION_FAULT_RUN = """
+import json, sys
+from homposet import rings
+from homposet.oracle import build_catalog, verify_theorems
+
+coprime_to, known_ideals = rings._coprime_to, rings._known_ideals
+
+def one_unit_dropped(d, n):
+    # Z/2 keeps its unit: the catalog's matrix ring needs a field base
+    return coprime_to(d, n) - {n - 1} if n > 2 else coprime_to(d, n)
+
+def one_product_ideal_dropped(ring):
+    lattice = known_ideals(ring)
+    return lattice[:1] + lattice[2:] if ring.provenance[0] == "product" else lattice
+
+witnesses = {}
+for key, name, faulty in (("regular-units", "_coprime_to", one_unit_dropped),
+                          ("poset-search", "_known_ideals", one_product_ideal_dropped)):
+    kept = getattr(rings, name)
+    setattr(rings, name, faulty)
+    (claim,) = verify_theorems(build_catalog(16), only=key).claims
+    setattr(rings, name, kept)
+    witnesses[key] = claim.witness
+print(json.dumps({"optimize": sys.flags.optimize, "witnesses": witnesses}))
+"""
+
+
+def test_construction_faults_are_caught_with_and_without_python_O():
+    # the units of Z/n and the ideals of a product come from their
+    # construction; regular-units scans the tables and poset-search
+    # searches morphisms, so each catches a fault in them
+    plain, optimized = (_fault_run(CONSTRUCTION_FAULT_RUN, *flags) for flags in ((), ("-O",)))
+    assert (plain.pop("optimize"), optimized.pop("optimize")) == (0, 1)
+    assert optimized == plain == {"witnesses": {
+        "regular-units": "Z/3: regular set differs from unit group",
+        "poset-search": "Z/2 x Z/2: missing pair with ideal [0, 1]",
+    }}
 
 
 # Each claim derives each distinct thing once: counting spies at bound 16.

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homposet.cli import parse_ring
+from homposet.cli import parse_ring, render_hom_json
 from homposet.config import Caps
 from homposet.errors import (
     BaseNotField,
@@ -1035,7 +1035,9 @@ def test_one_principal_closure_per_unit_orbit(monkeypatch):
         closed.append(tuple(pending))
         return close(sub, pending, left, right)
 
-    z128 = make_zmod(128, Caps(table_size=128))
+    # Z/128 from its tables alone, since make_zmod's ring knows its ideals
+    z = make_zmod(128, Caps(table_size=128))
+    z128 = ring_from_tables(z.add_table, z.mul_table, Caps(table_size=128))
     m2 = parse_ring("matrix:2:zmod:3", Caps(table_size=81))
     for ring in (z128, m2):
         ring.generators  # its own closures are not principal ones
@@ -1046,6 +1048,44 @@ def test_one_principal_closure_per_unit_orbit(monkeypatch):
     closed.clear()
     enumerate_ideals(m2)
     assert len(closed) == 3  # one per rank: 0, 1 and 2
+
+
+def constructed_rings():
+    """Every ring whose units, ideals and U(R)+I come from its construction
+    at the benchmark and survey sizes, with the ladder's table rings and a
+    product over a matrix ring among them."""
+    wide = Caps(table_size=1024)
+    specs = ("zmod:1024", "zmod:1020", "product:zmod:32:zmod:32", "gf:2:10",
+             ":".join(["product:zmod:2"] * 9 + ["zmod:2"]),
+             "product:matrix:2:zmod:2:zmod:3")
+    catalog = [r for r in build_catalog(64).rings
+               if r.provenance[0] in ("zmod", "gf", "product")]
+    return catalog + hom_ladder_rings() + [parse_ring(spec, wide) for spec in specs]
+
+
+def test_construction_agrees_with_closure_and_table_scan():
+    for ring in constructed_rings():
+        # the same tables with no construction behind them: closure and scan
+        raw = FiniteRing(ring.size, ring.add_table, ring.mul_table, ring.zero, ring.one)
+        assert [i.members for i in enumerate_ideals(ring)] == reference_enumerate_ideals(raw), ring
+        assert ring.unit_indices == raw.unit_indices, ring
+        assert [(p.ideal, p.mset) for p in hom_poset(ring).elements] == [
+            (p.ideal, p.mset) for p in hom_poset(raw).elements], ring
+
+
+def test_hom_builds_no_table_of_a_constructed_ring():
+    wide = Caps(table_size=128)
+    for spec in ("zmod:128", "gf:2:7", ":".join(["product:zmod:2"] * 6 + ["zmod:2"])):
+        ring = parse_ring(spec, wide)
+        render_hom_json(ring, hom_poset(ring), spec)
+        factors = [ring]
+        for r in factors:
+            assert "add_table" not in r.__dict__ and "mul_table" not in r.__dict__, spec
+            if r.provenance[0] == "product":
+                factors.extend(r.provenance[1:])
+    # a read builds both tables, which stay as plain attributes
+    assert ring.add_table is ring.__dict__["add_table"]
+    assert "mul_table" in ring.__dict__
 
 
 def test_generators_match_greedy_definition():
