@@ -2,7 +2,8 @@
 """Sweep the verification battery over increasing catalog bounds.
 
 Prints one summary row per bound and the full report for any bound where
-a claim fails.  Exit code 1 on any failure, 0 otherwise.
+a claim fails.  Exit code 1 on any failure, 2 when --only names no claim,
+0 otherwise.
 
     python3 scripts/run_oracle.py
     python3 scripts/run_oracle.py --bounds 8,16,24 --only lattice
@@ -11,7 +12,7 @@ import argparse
 import sys
 import time
 
-from homposet.oracle import build_catalog, verify_theorems
+from homposet.oracle import build_catalog, check_only, verify_theorems
 
 
 def main() -> int:
@@ -21,6 +22,11 @@ def main() -> int:
     ap.add_argument("--only", default=None,
                     help="restrict to claims whose key contains this substring")
     args = ap.parse_args()
+    try:
+        check_only(args.only)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     failed = False
     for bound in (int(b) for b in args.bounds.split(",")):

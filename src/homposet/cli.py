@@ -26,7 +26,7 @@ import sys
 
 from .config import Caps, caps_from_env
 from .errors import CapExceeded, HomPosetError
-from .oracle import build_catalog, verify_theorems
+from .oracle import build_catalog, check_only, verify_theorems
 from .pairs import TOP
 from .poset import hasse, hom_poset
 from .rings import (
@@ -213,6 +213,7 @@ def cmd_hom(args, caps) -> int:
 
 
 def cmd_oracle(args, caps) -> int:
+    check_only(args.only)
     catalog = build_catalog(args.bound, caps)
     report = verify_theorems(catalog, only=args.only, caps=caps)
     if args.json:

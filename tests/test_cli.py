@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +361,23 @@ def test_oracle_only_filter(capsys):
     assert code == 0
     assert "1/1 claims hold" in out
     assert "bar-lattice" in out
+
+
+def test_oracle_only_matching_no_claim_is_bad_input(capsys):
+    # a typo would otherwise run no claim and report 0/0 as holding
+    assert run(capsys, "oracle", "--bound", "8", "--only", "nosuchclaim") == (
+        2, "", "error: no claim key contains 'nosuchclaim'\n")
+
+
+def test_run_oracle_script_refuses_an_only_matching_no_claim():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_oracle.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--bounds", "4", "--only", "nosuchclaim"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: no claim key contains 'nosuchclaim'\n")
 
 
 def test_oracle_json_output(capsys):

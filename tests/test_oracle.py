@@ -7,6 +7,8 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from homposet import morphisms, oracle, pairs, poset, rings
 from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import (
@@ -17,7 +19,7 @@ from homposet.oracle import (
     verify_hom_construction,
     verify_theorems,
 )
-from homposet.pairs import pair_of_morphism, validate_pair
+from homposet.pairs import TOP, HomPair, pair_of_morphism, validate_pair
 from homposet.poset import hom_poset
 from homposet.rings import (
     Ideal,
@@ -571,3 +573,111 @@ def test_factor_stages_checks_no_ideal(monkeypatch):
     (claim,) = verify_theorems(catalog, only="factor-stages").claims
     assert claim.ok and claim.checked > 0
     assert calls == []
+
+
+# bar-lattice and meet-product fault reports: a faulty meet or join is
+# patched into the oracle alone, so the library's posets stay sound.
+# bar-lattice evaluates each operation once per ordered pair, so these pin
+# that the first failure in canonical order is still the one reported,
+# with the same count.
+
+
+@pytest.fixture(scope="module")
+def catalog_of():
+    """build_catalog by bound, built once for this module's tests."""
+    built = {}
+
+    def get(bound):
+        if bound not in built:
+            built[bound] = build_catalog(bound)
+        return built[bound]
+
+    return get
+
+
+def _highest_bound(p, q, bar):
+    """join_ext with the highest common upper bound for the least."""
+    if p is TOP or q is TOP:
+        return TOP
+    i, j = bar.index[p], bar.index[q]
+    common = (bar.above[i] | 1 << i) & (bar.above[j] | 1 << j)
+    return bar.elements[common.bit_length() - 1] if common else TOP
+
+
+def _highest_bound_raising_late(p, q, bar):
+    """_highest_bound, raising on Z/4's last pair with itself, which no
+    check reads before absorption fails at Z/4's second ordered pair."""
+    if (p is q and p is not TOP and oracle.ring_label(p.ring) == "Z/4"
+            and bar.index[p] == len(bar.elements) - 1):
+        raise ValueError("late pair")
+    return _highest_bound(p, q, bar)
+
+
+def _first_if_incomparable(p, q):
+    m = pairs.meet(p, q)
+    return m if m is p or m is q else p
+
+
+def _top_unless_an_input(p, q, bar):
+    j = poset.join_ext(p, q, bar)
+    return j if j is p or j is q else TOP
+
+
+def _first_or_outside(p, q):
+    """Not commutative on incomparable pairs: the first of the two in the
+    completed poset's order, else a pair outside that poset."""
+    m = pairs.meet(p, q)
+    if m is p or m is q:
+        return m
+    index = poset.hom_poset(p.ring, adjoin_top=True).index
+    return p if index[p] < index[q] else _union_of_msets(p, q)
+
+
+def _larger_if_comparable(p, q):
+    m = pairs.meet(p, q)
+    return q if m is p else p if m is q else m
+
+
+def _union_of_msets(p, q):
+    m = pairs.meet(p, q)
+    if m is p or m is q:
+        return m
+    return HomPair._trusted(m.ring, m.ideal, p.mset | q.mset)
+
+
+@pytest.mark.parametrize("key, name, fault, bound, checked, witness", [
+    ("bar-lattice", "join_ext", _highest_bound, 8, 25, "absorption fails over Z/4"),
+    ("bar-lattice", "join_ext", _highest_bound, 16, 25, "absorption fails over Z/4"),
+    ("bar-lattice", "join_ext", _highest_bound, 32, 25, "absorption fails over Z/4"),
+    ("bar-lattice", "join_ext", _highest_bound_raising_late, 8, 25,
+     "absorption fails over Z/4"),
+    ("bar-lattice", "meet", _first_if_incomparable, 8, 79,
+     "lattice operations not commutative over Z/6"),
+    ("bar-lattice", "meet", _first_if_incomparable, 32, 79,
+     "lattice operations not commutative over Z/6"),
+    ("bar-lattice", "join_ext", _top_unless_an_input, 8, 517,
+     "join not associative over Z/2 x Z/4"),
+    ("bar-lattice", "join_ext", _top_unless_an_input, 16, 461,
+     "join not associative over Z/12"),
+    ("bar-lattice", "meet", _union_of_msets, 8, 79,
+     "lattice operation over Z/6 leaves the completed poset"),
+    # the first incomparable pair fails commutativity before its transpose,
+    # whose meet leaves the poset, is reached in canonical order
+    ("bar-lattice", "meet", _first_or_outside, 8, 79,
+     "lattice operations not commutative over Z/6"),
+    ("meet-product", "meet", _larger_if_comparable, 8, 4,
+     "product morphism over Z/4 realizes a different meet"),
+    ("meet-product", "meet", _larger_if_comparable, 16, 4,
+     "product morphism over Z/4 realizes a different meet"),
+    ("meet-product", "meet", _larger_if_comparable, 32, 4,
+     "product morphism over Z/4 realizes a different meet"),
+    ("meet-product", "meet", _union_of_msets, 8, 12, "meet of pairs over Z/6 not realized"),
+    ("meet-product", "meet", _union_of_msets, 16, 12, "meet of pairs over Z/6 not realized"),
+    ("meet-product", "meet", _union_of_msets, 32, 12, "meet of pairs over Z/6 not realized"),
+])
+def test_lattice_fault_reports(monkeypatch, catalog_of, key, name, fault, bound, checked,
+                               witness):
+    catalog = catalog_of(bound)
+    monkeypatch.setattr(oracle, name, fault)
+    (claim,) = verify_theorems(catalog, only=key).claims
+    assert (claim.ok, claim.checked, claim.witness) == (False, checked, witness)
