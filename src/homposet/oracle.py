@@ -280,6 +280,16 @@ def _claim_poset_search(ctx):
             return checked, (
                 f"{ring_label(r)}: {what} pair with ideal {sorted(sets[0])}"
             )
+        # covers from member sets alone, with the whole ring in TOP's place
+        bar = hom_poset(r, adjoin_top=True)
+        ideals = [p.ideal for p in bar.elements] + [r.index_set]
+        edges = [(i, j) for i, a in enumerate(ideals) for j, b in enumerate(ideals)
+                 if a < b and not any(a < c < b for c in ideals)]
+        plain = [(i, j) for i, j in edges if j < len(bar.elements)]
+        for what, poset, want in (("", hom_poset(r), plain), ("completed ", bar, edges)):
+            if list(poset.covers) != want:
+                return checked, (f"{ring_label(r)}: Hasse covers of the {what}poset "
+                                 "differ from ideal inclusion")
     return checked, None
 
 
@@ -394,8 +404,8 @@ def _claim_corner_split(ctx):
 
 
 def _claim_product_poset(ctx):
-    """A product's ideals come from its factors' (I1 x I2, see
-    rings._known_ideals), so this compares a product-derived lattice with
+    """A product's ideals and M come from its factors' (I1 x I2, see
+    rings._ideal_lattice), so this compares a product-derived lattice with
     its factors: the split and its order.  That the lattice is the
     product's own is poset-search's check, by morphism search."""
     checked = 0

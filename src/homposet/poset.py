@@ -5,10 +5,10 @@ unit mod that ideal, so each realized pair is (a, preimage of units of R/a)
 and the poset is in order-preserving bijection with the proper two-sided
 ideals.  Units lift along R -> R/a when R is finite, so that preimage is
 U(R) + a.  hom_poset materializes the poset that way: one pair per proper
-ideal of the enumerated lattice, with no quotient ring built.  Every
-other pair over the ring (a fiber, a pullback, a factor of a product, a
-complete prime) is looked up in that poset by its ideal, so M is computed
-in one place (_units_plus).
+ideal, with its M from rings._ideal_lattice, the one place M is computed,
+and no quotient ring built.  Every other pair over the ring (a fiber, a
+pullback, a factor of a product, a complete prime) is looked up in that
+poset by its ideal.
 
 The order is inclusion of ideals, read from one table per poset (see
 HomPoset.above).  join_ext adjoins TOP to make the bounded lattice: the join
@@ -18,7 +18,6 @@ ring.  Maxima and Hasse covers come from the same table.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,8 +28,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingMorphism,
-    _coprime_to,
-    _product_set,
+    _ideal_lattice,
     is_completely_prime,
     per_ring,
     product_factors,
@@ -110,16 +108,12 @@ class HomPoset:
 
 @per_ring
 def _posets(ring: FiniteRing) -> tuple:
-    """The plain poset over the ring and its completion, on one pair tuple.
-
-    proper_ideals comes sorted by size and then members, which is the order
-    of HomPair.sort_key, so the pairs need no sort.
-    """
-    # (I, U(R)+I) is the pair of R -> R/I, so no pair needs checking
-    elements = tuple(
-        HomPair._trusted(ring, ideal.members, _units_plus(ring, ideal.members))
-        for ideal in proper_ideals(ring)
-    )
+    """The plain poset over the ring and its completion, on one pair tuple:
+    (I, U(R)+I), the pair of R -> R/I and so built unchecked, for each
+    proper ideal I in the lattice's order, which is HomPair.sort_key's.
+    The whole ring, last in that order, carries no pair."""
+    *proper, _ = _ideal_lattice(ring).items()
+    elements = tuple(HomPair._trusted(ring, ideal, mset) for ideal, mset in proper)
     return HomPoset(ring, elements), HomPoset(ring, elements, True)
 
 
@@ -191,32 +185,6 @@ def least_of_fiber(ring: FiniteRing, ideal) -> HomPair:
         Ideal(ring, imembers)  # raises NotAnIdeal unless an ideal
         raise ImproperIdeal("the whole ring carries no pair")
     return poset.elements[i]
-
-
-@per_ring
-def _units_plus(ring: FiniteRing, imembers: frozenset) -> frozenset:
-    """U(R) + I, the preimage of the units of R/I for a finite ring R: over
-    Z/n with I = dZ/nZ the x prime to d, over a field U(R) for I = 0, over
-    R1 x R2 (U1 + I1) x (U2 + I2), and otherwise read off the tables."""
-    tag, n = ring.provenance[0], ring.size
-    if tag == "zmod":
-        return _coprime_to(math.gcd(n, *imembers), n)
-    if tag == "gf":
-        return ring.unit_indices if len(imembers) == 1 else ring.index_set
-    if tag == "product":
-        # I = I1 x I2 holds (a, 0) exactly when a is in I1, and (0, b) when b is in I2
-        r1, r2 = ring.provenance[1:]
-        n2, z1, z2 = r2.size, r1.zero * r2.size, r2.zero
-        i1 = frozenset([a for a in range(r1.size) if a * n2 + z2 in imembers])
-        i2 = frozenset([i - z1 for i in imembers if z1 <= i < z1 + n2])
-        return _product_set(_units_plus(r1, i1), _units_plus(r2, i2), n2)
-    add = ring.add_table
-    out = set()
-    for u in ring.unit_indices:
-        if u not in out:
-            row = add[u]
-            out.update(row[i] for i in imembers)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ rejected by every public constructor; only corner extraction (see
 morphisms.decompose_product_morphism) may build it, via _from_tables with
 allow_trivial=True.
 
-Z/n, GF(q) and products know their units and ideals from their construction
-(FiniteRing.unit_indices, _known_ideals), so they build their tables only
-when something reads add_table or mul_table.
+Z/n, GF(q) and products know their units, ideals and U(R) + I from their
+construction (FiniteRing.unit_indices, _ideal_lattice), so they build their
+tables only when something reads add_table or mul_table.
 """
 from __future__ import annotations
 
@@ -755,6 +755,18 @@ def _plus_row(add, x):
     return lambda y: tuple(map(getitem, plus, y))
 
 
+def _capped_power(p: int, k: int, caps: Caps) -> int:
+    """p**k for k >= 1, or CapExceeded past the table cap.  p > cap, or
+    p >= 2 with 2**k > 2*cap, is refused before the power is taken."""
+    cap = caps.table_size
+    if p > cap or (p >= 2 and k > cap.bit_length()):
+        raise CapExceeded(f"{p}**{k} > table cap {cap}")
+    q = p**k
+    if q > cap:
+        raise CapExceeded(f"{q} > table cap {cap}")
+    return q
+
+
 def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Field of order p**k as Z/p[x] modulo its least monic irreducible.
 
@@ -762,13 +774,11 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     digit, so index i is the polynomial sum(digit_j * x^j).  For k = 1 the
     tables coincide with make_zmod(p).
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = p**k
-    if q > caps.table_size:
-        raise CapExceeded(f"{q} > table cap {caps.table_size}")
+    q = _capped_power(p, k, caps)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     return FiniteRing._constructed(q, 0, 1, ("gf", p, k, _smallest_irreducible(p, k)))
 
 
@@ -913,11 +923,8 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
         raise BaseNotField(f"matrix rings need a field base, got {ring_label(base)}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = base.size
-    size = q ** (k * k)
-    if size > caps.table_size:
-        raise CapExceeded(f"{size} > table cap {caps.table_size}")
-    nn = k * k
+    q, nn = base.size, k * k
+    size = _capped_power(q, nn, caps)
     bzero, bmul = base.zero, base.mul_table
     zero = _undigits((bzero,) * nn, q)
     one = _undigits([base.one if r == c else bzero for r in range(k) for c in range(k)], q)
@@ -1086,26 +1093,39 @@ def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
 
 @per_ring
 def enumerate_ideals(ring: FiniteRing) -> tuple:
-    """All two-sided ideals, sorted by size then member order: those the
-    construction knows (_known_ideals), else those _closed_ideals finds."""
-    lattice = _known_ideals(ring) or _closed_ideals(ring)
-    ordered = sorted(lattice, key=lambda m: (len(m), sorted(m)))
-    return tuple(Ideal._trusted(ring, m) for m in ordered)
+    """All two-sided ideals, sorted by size then member order."""
+    return tuple(Ideal._trusted(ring, m) for m in _ideal_lattice(ring))
 
 
-def _known_ideals(ring: FiniteRing):
-    """The ideals of Z/n (dZ/nZ for d | n), of a field (0 and itself) and of
-    R1 x R2 (I1 x I2), or None; poset-search checks them by search."""
+@per_ring
+def _ideal_lattice(ring: FiniteRing) -> dict:
+    """Each two-sided ideal's members, the whole ring's included, mapped to
+    U(R) + I, in enumerate_ideals order.  Z/n, a field and R1 x R2 give
+    them from the construction (dZ/nZ to the x prime to d; 0 to U(R); I1 x I2
+    to (U1 + I1) x (U2 + I2)), which poset-search checks by search.  Other
+    rings close their ideals and translate the units by each."""
     tag, n = ring.provenance[0], ring.size
     if tag == "zmod":
-        return [range(0, n, d) for d in range(1, n + 1) if n % d == 0]
-    if tag == "gf":
-        return [(0,), ring.index_set]
-    if tag == "product":
+        pairs = [(frozenset(range(0, n, d)), _coprime_to(d, n))
+                 for d in range(1, n + 1) if n % d == 0]
+    elif tag == "gf":
+        pairs = [(frozenset({ring.zero}), ring.unit_indices),
+                 (ring.index_set, ring.index_set)]
+    elif tag == "product":
         r1, r2 = ring.provenance[1:]
-        return [_product_set(i1.members, i2.members, r2.size)
-                for i1 in enumerate_ideals(r1) for i2 in enumerate_ideals(r2)]
-    return None
+        n2, lattice2 = r2.size, _ideal_lattice(r2).items()
+        pairs = [(_product_set(i1, i2, n2), _product_set(m1, m2, n2))
+                 for i1, m1 in _ideal_lattice(r1).items() for i2, m2 in lattice2]
+    else:
+        add, pairs = ring.add_table, []
+        for members in _closed_ideals(ring):
+            mset = set()
+            for u in ring.unit_indices:
+                if u not in mset:
+                    row = add[u]
+                    mset.update([row[i] for i in members])
+            pairs.append((members, frozenset(mset)))
+    return dict(sorted(pairs, key=lambda im: (len(im[0]), sorted(im[0]))))
 
 
 def _closed_ideals(ring: FiniteRing) -> dict:

@@ -282,6 +282,10 @@ def test_exit_cap_exceeded(capsys):
     ("zmod:1", 2, "zmod needs n >= 2, got 1"),
     ("gf:4:1", 2, "4 is not prime"),
     ("gf:2:0", 2, "k must be >= 1"),
+    # refused before a primality test or the order is computed
+    ("gf:1000000016000000063:1", 3, "size cap exceeded: 1000000016000000063**1 > table cap 64"),
+    ("gf:2:20000", 3, "size cap exceeded: 2**20000 > table cap 64"),
+    ("matrix:3000:zmod:2", 3, "size cap exceeded: 2**9000000 > table cap 64"),
 ])
 def test_constructors_refuse_at_their_sizes(capsys, description, code, message):
     # rings that build their tables on first read still refuse at once

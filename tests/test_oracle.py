@@ -221,7 +221,9 @@ def test_oracle_catches_a_core_fault_in_unchecked_pairs(monkeypatch):
     # M = U(R) in place of U(R)+I: hom_poset builds its pairs unchecked, so
     # only the battery's own search can notice.  The faulty posets live on
     # the run's rings, fields included, and die with them.
-    monkeypatch.setattr(poset, "_units_plus", lambda ring, imembers: ring.unit_indices)
+    lattice = rings._ideal_lattice
+    monkeypatch.setattr(poset, "_ideal_lattice",
+                        lambda ring: dict.fromkeys(lattice(ring), ring.unit_indices))
     try:
         report = verify_theorems(build_catalog(16))
     finally:
@@ -235,6 +237,26 @@ def test_oracle_catches_a_core_fault_in_unchecked_pairs(monkeypatch):
     square = make_product(gf4, gf4)
     (f, *_) = enumerate_morphisms(gf4, square)
     assert hom_poset(f.target) == hom_poset(square)
+
+
+@pytest.mark.parametrize("bound", [8, 16, 32])
+@pytest.mark.parametrize("completed_only", [False, True])
+def test_poset_search_checks_the_hasse_covers(monkeypatch, bound, completed_only):
+    # covers that keep every strict upper bound still hold every true cover
+    covers = poset.HomPoset.covers
+
+    def every_upper_bound(self):
+        if completed_only and not self.top_adjoined:
+            return covers.func(self)
+        top = 1 << len(self.above) if self.top_adjoined else 0
+        return tuple((i, j) for i, up in enumerate(self.above)
+                     for j in poset._bits(up or top))
+
+    monkeypatch.setattr(poset.HomPoset, "covers", property(every_upper_bound))
+    (claim,) = verify_theorems(build_catalog(bound), only="poset-search").claims
+    what = "completed poset" if completed_only else "poset"
+    assert not claim.ok and claim.checked == 7
+    assert claim.witness == f"Z/8: Hasse covers of the {what} differ from ideal inclusion"
 
 
 def test_max_spec_searches_for_the_division_pairs(monkeypatch):
@@ -269,16 +291,16 @@ def test_claim_exception_is_its_witness(monkeypatch):
 FAULT_RUN = """
 import json, sys
 from dataclasses import replace
-from homposet import oracle, poset
+from homposet import oracle, poset, rings
 from homposet.oracle import build_catalog, verify_theorems
 from homposet.pairs import TOP
 from homposet.rings import identity_morphism
 
 catalog = build_catalog(8)
-units_plus = poset._units_plus
-poset._units_plus = lambda ring, imembers: ring.unit_indices
+lattice = rings._ideal_lattice
+poset._ideal_lattice = lambda ring: dict.fromkeys(lattice(ring), ring.unit_indices)
 fault = verify_theorems(build_catalog(8)).render_text()
-poset._units_plus = units_plus
+poset._ideal_lattice = lattice
 
 decompose = oracle.product_decompose_poset
 factorize = oracle.canonical_factorization
@@ -349,26 +371,31 @@ def test_faults_are_caught_under_python_O():
 # catalog is built, so that no ring has read the sound fact already.
 CONSTRUCTION_FAULT_RUN = """
 import json, sys
-from homposet import rings
+from homposet import poset, rings
 from homposet.oracle import build_catalog, verify_theorems
 
-coprime_to, known_ideals = rings._coprime_to, rings._known_ideals
+coprime_to, ideal_lattice = rings._coprime_to, rings._ideal_lattice
 
 def one_unit_dropped(d, n):
     # Z/2 keeps its unit: the catalog's matrix ring needs a field base
     return coprime_to(d, n) - {n - 1} if n > 2 else coprime_to(d, n)
 
 def one_product_ideal_dropped(ring):
-    lattice = known_ideals(ring)
-    return lattice[:1] + lattice[2:] if ring.provenance[0] == "product" else lattice
+    # the second smallest ideal goes, with its M
+    items = list(ideal_lattice(ring).items())
+    return dict(items[:1] + items[2:] if ring.provenance[0] == "product" else items)
 
 witnesses = {}
-for key, name, faulty in (("regular-units", "_coprime_to", one_unit_dropped),
-                          ("poset-search", "_known_ideals", one_product_ideal_dropped)):
+# poset reads the lattice under its own name
+for key, modules, name, faulty in (
+        ("regular-units", (rings,), "_coprime_to", one_unit_dropped),
+        ("poset-search", (rings, poset), "_ideal_lattice", one_product_ideal_dropped)):
     kept = getattr(rings, name)
-    setattr(rings, name, faulty)
+    for m in modules:
+        setattr(m, name, faulty)
     (claim,) = verify_theorems(build_catalog(16), only=key).claims
-    setattr(rings, name, kept)
+    for m in modules:
+        setattr(m, name, kept)
     witnesses[key] = claim.witness
 print(json.dumps({"optimize": sys.flags.optimize, "witnesses": witnesses}))
 """

@@ -1071,6 +1071,8 @@ def test_construction_agrees_with_closure_and_table_scan():
         assert ring.unit_indices == raw.unit_indices, ring
         assert [(p.ideal, p.mset) for p in hom_poset(ring).elements] == [
             (p.ideal, p.mset) for p in hom_poset(raw).elements], ring
+        for bar in (False, True):
+            assert hom_poset(ring, bar).covers == hom_poset(raw, bar).covers, ring
 
 
 def test_hom_builds_no_table_of_a_constructed_ring():
