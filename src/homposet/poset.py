@@ -70,8 +70,12 @@ class HomPoset:
 
         Ideal inclusion is the whole order because M = U(R)+I grows with I.
         A strictly larger ideal sorts later, so only bits j > i can be set,
-        and TOP (index len(elements) when adjoined) is left out.
+        and TOP (index len(elements) when adjoined) is left out.  So the
+        completion, which _posets builds on the plain poset's elements,
+        reads the plain poset's table.
         """
+        if self.top_adjoined:
+            return hom_poset(self.ring).above
         ideals = [p.ideal for p in self.elements]
         return tuple(
             sum(1 << j for j in range(i + 1, len(ideals)) if ideal < ideals[j])

@@ -11,9 +11,10 @@ rejected by every public constructor; only corner extraction (see
 morphisms.decompose_product_morphism) may build it, via _from_tables with
 allow_trivial=True.
 
-Z/n, GF(q) and products know their units, ideals and U(R) + I from their
-construction (FiniteRing.unit_indices, _ideal_lattice), so they build their
-tables only when something reads add_table or mul_table.
+Z/n, GF(q), products and matrix rings over a field know their units,
+ideals and U(R) + I from their construction (FiniteRing.unit_indices,
+_ideal_lattice), so they build their tables only when something reads
+add_table or mul_table.  GL_k(F) is built from F's tables alone.
 """
 from __future__ import annotations
 
@@ -111,11 +112,12 @@ class FiniteRing:
 
     @cached_property
     def unit_indices(self) -> frozenset:
-        # Z/n, GF(q) and products know their units (a product from its
-        # factors' units alone).  Otherwise: in an associative ring a unit's
-        # right inverse is unique, so the first 1 in its row is its two-sided
-        # inverse, and a non-unit fails the second test.  The oracle claim
-        # regular-units re-derives the set from the tables either way.
+        # Z/n, GF(q), products and matrix rings know their units (a product
+        # from its factors' units alone, GL_k(F) from F's tables).
+        # Otherwise: in an associative ring a unit's right inverse is
+        # unique, so the first 1 in its row is its two-sided inverse, and a
+        # non-unit fails the second test.  The oracle claim regular-units
+        # re-derives the set from the tables either way.
         tag, n = self.provenance[0], self.size
         if tag == "zmod":
             return _coprime_to(n, n)
@@ -124,6 +126,8 @@ class FiniteRing:
         if tag == "product":
             r1, r2 = self.provenance[1:]
             return _product_set(r1.unit_indices, r2.unit_indices, r2.size)
+        if tag == "matrix":
+            return _general_linear(*self.provenance[1:])
         one = self.one
         mul = self.mul_table
         return frozenset(a for a, row in enumerate(mul)
@@ -663,25 +667,25 @@ def _poly_divides(d, f, p):
 
 
 def _smallest_irreducible(p: int, k: int) -> tuple:
-    """Monic irreducible of degree k over Z/p, minimal in low-degree-first lex order."""
+    """Monic irreducible of degree k over Z/p, minimal in low-degree-first lex order.
+
+    For k >= 2 x divides every candidate with constant term 0, so only
+    those with a nonzero one are tried, and their divisors have one too.
+    """
     if k == 1:
         return (0, 1)
-    monics = {1: [tuple(c) + (1,) for c in itertools.product(range(p), repeat=1)]}
-    for low in itertools.product(range(p), repeat=k):
-        cand = low + (1,)
-        ok = True
-        d = 1
-        while d * 2 <= k and ok:
-            if d not in monics:
-                monics[d] = [tuple(c) + (1,) for c in itertools.product(range(p), repeat=d)]
-            for g in monics[d]:
-                if _poly_divides(g, cand, p):
-                    ok = False
-                    break
-            d += 1
-        if ok:
+    divisors = [g for d in range(1, k // 2 + 1) for g in _monics(p, d)]
+    for cand in _monics(p, k):
+        if not any(_poly_divides(g, cand, p) for g in divisors):
             return cand
     raise AssertionError("no irreducible found")  # cannot happen
+
+
+def _monics(p: int, d: int):
+    """The monic polynomials of degree d over Z/p with a nonzero constant
+    term, in low-degree-first lex order."""
+    lows = itertools.product(range(1, p), *[range(p)] * (d - 1))
+    return (low + (1,) for low in lows)
 
 
 def _digits(i: int, base: int, width: int) -> tuple:
@@ -842,9 +846,6 @@ def _product_tables(r1: FiniteRing, r2: FiniteRing):
     return rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table)
 
 
-_TABLES_OF = {"zmod": _zmod_tables, "gf": _field_tables, "product": _product_tables}
-
-
 def _product_set(s1, s2, n2: int) -> frozenset:
     """The indices a*n2 + b of the pairs (a, b) in s1 x s2."""
     return frozenset([a + b for a in [a * n2 for a in s1] for b in s2])
@@ -912,22 +913,29 @@ def is_field(ring: FiniteRing) -> bool:
 
 
 def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
-    """k x k matrices over a finite field, row-major base-q digit encoding.
-
-    Addition is digitwise through the base table (_digit_add_rows).  Right
-    multiplication by B is additive, so row A of the multiplication table
-    is the entrywise sum of the rows of A's leading entry and of the rest;
-    only the rows of matrices with one entry off zero are multiplied out.
-    """
+    """k x k matrices over a finite field, row-major base-q digit encoding."""
     if not is_field(base):
         raise BaseNotField(f"matrix rings need a field base, got {ring_label(base)}")
     if k < 1:
         raise ValueError("k must be >= 1")
     q, nn = base.size, k * k
     size = _capped_power(q, nn, caps)
-    bzero, bmul = base.zero, base.mul_table
+    bzero = base.zero
     zero = _undigits((bzero,) * nn, q)
     one = _undigits([base.one if r == c else bzero for r in range(k) for c in range(k)], q)
+    return FiniteRing._constructed(size, zero, one, ("matrix", k, base))
+
+
+def _matrix_tables(k: int, base: FiniteRing):
+    """Tables of M_k(F).  Addition is digitwise through the base table
+    (_digit_add_rows).  Right multiplication by B is additive, so row A of
+    the multiplication table is the entrywise sum of the rows of A's
+    leading entry and of the rest; only the rows of matrices with one
+    entry off zero are multiplied out."""
+    q, nn = base.size, k * k
+    size = q**nn
+    bzero, bmul = base.zero, base.mul_table
+    zero = _undigits((bzero,) * nn, q)
     add = _digit_add_rows(base.add_table, bzero, nn)
     mats = [_digits(i, q, nn) for i in range(size)]
 
@@ -941,7 +949,39 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
         ])
 
     mul = _digit_rows(q, nn, bzero, (zero,) * size, single, partial(_plus_row, add))
-    return _from_tables(add, mul, zero, one, ("matrix", k, base))
+    return add, mul
+
+
+def _general_linear(k: int, base: FiniteRing) -> frozenset:
+    """GL_k(F) as indices of M_k(F), from F's tables alone.
+
+    A matrix is invertible exactly when its rows are linearly independent,
+    so row r is any word of F^k outside the span of rows 0..r-1.  Row r is
+    a k-digit base-q word worth (q^k)^r in the index.  Adding a row v
+    grows the span S to {s + c*v : s in S, c in F}, read off the word
+    addition table and scale[c][v], the word c*v.
+    """
+    q, width = base.size, base.size**k
+    add = _digit_add_rows(base.add_table, base.zero, k)
+    words = [_digits(v, q, k) for v in range(width)]
+    scale = [[_undigits([row[d] for d in w], q) for w in words]
+             for row in base.mul_table]
+    zw = _undigits((base.zero,) * k, q)  # the word of all zeros
+    # (index of the rows so far, span of all but the last, the last row)
+    level = [(0, {zw}, zw)]
+    for r in range(k):
+        weight, grown = width**r, []
+        for index, span, last in level:
+            line = [row[last] for row in scale]  # c*last for each c in F
+            span = {add[s][x] for s in span for x in line}
+            grown += [(index + v * weight, span, v)
+                      for v in range(width) if v not in span]
+        level = grown
+    return frozenset([index for index, _, _ in level])
+
+
+_TABLES_OF = {"zmod": _zmod_tables, "gf": _field_tables, "product": _product_tables,
+              "matrix": _matrix_tables}
 
 
 def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: bool = False):
@@ -1100,15 +1140,16 @@ def enumerate_ideals(ring: FiniteRing) -> tuple:
 @per_ring
 def _ideal_lattice(ring: FiniteRing) -> dict:
     """Each two-sided ideal's members, the whole ring's included, mapped to
-    U(R) + I, in enumerate_ideals order.  Z/n, a field and R1 x R2 give
-    them from the construction (dZ/nZ to the x prime to d; 0 to U(R); I1 x I2
-    to (U1 + I1) x (U2 + I2)), which poset-search checks by search.  Other
+    U(R) + I, in enumerate_ideals order.  Z/n, a field, a matrix ring over
+    one (simple, by Wedderburn-Artin) and R1 x R2 give them from the
+    construction (dZ/nZ to the x prime to d; 0 to U(R); I1 x I2 to
+    (U1 + I1) x (U2 + I2)), which poset-search checks by search.  Other
     rings close their ideals and translate the units by each."""
     tag, n = ring.provenance[0], ring.size
     if tag == "zmod":
         pairs = [(frozenset(range(0, n, d)), _coprime_to(d, n))
                  for d in range(1, n + 1) if n % d == 0]
-    elif tag == "gf":
+    elif tag in ("gf", "matrix"):
         pairs = [(frozenset({ring.zero}), ring.unit_indices),
                  (ring.index_set, ring.index_set)]
     elif tag == "product":

@@ -367,14 +367,16 @@ def test_faults_are_caught_under_python_O():
     }
 
 
-# Faults in what Z/n and products know of themselves, injected before each
-# catalog is built, so that no ring has read the sound fact already.
+# Faults in what Z/n, products and matrix rings know of themselves, injected
+# before each catalog is built, so that no ring has read the sound fact
+# already.
 CONSTRUCTION_FAULT_RUN = """
 import json, sys
 from homposet import poset, rings
 from homposet.oracle import build_catalog, verify_theorems
 
 coprime_to, ideal_lattice = rings._coprime_to, rings._ideal_lattice
+general_linear = rings._general_linear
 
 def one_unit_dropped(d, n):
     # Z/2 keeps its unit: the catalog's matrix ring needs a field base
@@ -385,31 +387,39 @@ def one_product_ideal_dropped(ring):
     items = list(ideal_lattice(ring).items())
     return dict(items[:1] + items[2:] if ring.provenance[0] == "product" else items)
 
+def one_matrix_unit_dropped(k, base):
+    units = general_linear(k, base)
+    return units - {max(units)}
+
 witnesses = {}
 # poset reads the lattice under its own name
 for key, modules, name, faulty in (
         ("regular-units", (rings,), "_coprime_to", one_unit_dropped),
-        ("poset-search", (rings, poset), "_ideal_lattice", one_product_ideal_dropped)):
+        ("poset-search", (rings, poset), "_ideal_lattice", one_product_ideal_dropped),
+        ("regular-units", (rings,), "_general_linear", one_matrix_unit_dropped)):
     kept = getattr(rings, name)
     for m in modules:
         setattr(m, name, faulty)
     (claim,) = verify_theorems(build_catalog(16), only=key).claims
     for m in modules:
         setattr(m, name, kept)
-    witnesses[key] = claim.witness
+    witnesses[faulty.__name__] = [key, claim.witness]
 print(json.dumps({"optimize": sys.flags.optimize, "witnesses": witnesses}))
 """
 
 
 def test_construction_faults_are_caught_with_and_without_python_O():
-    # the units of Z/n and the ideals of a product come from their
-    # construction; regular-units scans the tables and poset-search
-    # searches morphisms, so each catches a fault in them
+    # the units of Z/n and of a matrix ring and the ideals of a product come
+    # from their construction; regular-units scans the tables and
+    # poset-search searches morphisms, so each catches a fault in them
     plain, optimized = (_fault_run(CONSTRUCTION_FAULT_RUN, *flags) for flags in ((), ("-O",)))
     assert (plain.pop("optimize"), optimized.pop("optimize")) == (0, 1)
     assert optimized == plain == {"witnesses": {
-        "regular-units": "Z/3: regular set differs from unit group",
-        "poset-search": "Z/2 x Z/2: missing pair with ideal [0, 1]",
+        "one_unit_dropped": ["regular-units", "Z/3: regular set differs from unit group"],
+        "one_product_ideal_dropped":
+            ["poset-search", "Z/2 x Z/2: missing pair with ideal [0, 1]"],
+        "one_matrix_unit_dropped":
+            ["regular-units", "M2(Z/2): regular set differs from unit group"],
     }}
 
 

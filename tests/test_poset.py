@@ -195,6 +195,16 @@ def test_completed_poset_shares_the_plain_elements():
         assert hom_poset(ring, adjoin_top=True).elements is hom_poset(ring).elements
 
 
+def test_completed_poset_reads_the_plain_order_table():
+    # one strict-upset table per ring, whichever poset reads it first
+    for bar_first in (False, True):
+        ring = make_product(make_zmod(4), make_zmod(6))
+        posets = [hom_poset(ring, adjoin_top=bar) for bar in (bar_first, not bar_first)]
+        first = posets[0].above
+        assert posets[1].above is first
+        assert hom_poset(ring).__dict__["above"] is first
+
+
 def test_join_rejects_pairs_over_another_ring():
     bar = hom_poset(make_zmod(12), adjoin_top=True)
     other = hom_poset(make_zmod(6)).elements[1]

@@ -27,6 +27,7 @@ from homposet.rings import (
     _digits,
     _is_ideal,
     _is_submonoid,
+    _poly_divides,
     _poly_mul_mod,
     _smallest_irreducible,
     _undigits,
@@ -106,6 +107,28 @@ def test_finite_field_smallest_modulus():
     assert is_field(f8)
     f9 = make_finite_field(3, 2)
     assert is_field(f9) and f9.additive_orders[f9.one] == 3
+
+
+def reference_smallest_irreducible(p, k):
+    """The earlier full search: every monic of degree k in low-degree-first
+    lex order, tried against every monic of degree at most k/2, x first."""
+    if k == 1:
+        return (0, 1)
+    for low in itertools.product(range(p), repeat=k):
+        cand = low + (1,)
+        if not any(_poly_divides(g + (1,), cand, p)
+                   for d in range(1, k // 2 + 1)
+                   for g in itertools.product(range(p), repeat=d)):
+            return cand
+    raise AssertionError("no irreducible found")
+
+
+def test_smallest_irreducible_matches_the_full_search():
+    orders = [(p, k) for p in range(2, 1025) if is_prime(p)
+              for k in range(1, 11) if p**k <= 1024]
+    assert len(orders) == 198
+    for p, k in orders:
+        assert _smallest_irreducible(p, k) == reference_smallest_irreducible(p, k), (p, k)
 
 
 def test_finite_field_order_one_matches_zmod():
@@ -1035,10 +1058,12 @@ def test_one_principal_closure_per_unit_orbit(monkeypatch):
         closed.append(tuple(pending))
         return close(sub, pending, left, right)
 
-    # Z/128 from its tables alone, since make_zmod's ring knows its ideals
+    # Z/128 and M2(Z/3) from their tables alone, since the constructed
+    # rings know their ideals
     z = make_zmod(128, Caps(table_size=128))
     z128 = ring_from_tables(z.add_table, z.mul_table, Caps(table_size=128))
-    m2 = parse_ring("matrix:2:zmod:3", Caps(table_size=81))
+    m = parse_ring("matrix:2:zmod:3", Caps(table_size=81))
+    m2 = ring_from_tables(m.add_table, m.mul_table, Caps(table_size=81))
     for ring in (z128, m2):
         ring.generators  # its own closures are not principal ones
     monkeypatch.setattr(_Subgroup, "close", counted)
@@ -1052,14 +1077,15 @@ def test_one_principal_closure_per_unit_orbit(monkeypatch):
 
 def constructed_rings():
     """Every ring whose units, ideals and U(R)+I come from its construction
-    at the benchmark and survey sizes, with the ladder's table rings and a
-    product over a matrix ring among them."""
+    at the benchmark and survey sizes, with the ladder's rings (M2(Z/3)
+    among them), larger matrix rings and a product over a matrix ring."""
     wide = Caps(table_size=1024)
     specs = ("zmod:1024", "zmod:1020", "product:zmod:32:zmod:32", "gf:2:10",
              ":".join(["product:zmod:2"] * 9 + ["zmod:2"]),
-             "product:matrix:2:zmod:2:zmod:3")
+             "product:matrix:2:zmod:2:zmod:3", "matrix:3:zmod:2", "matrix:2:gf:2:2",
+             "matrix:2:zmod:5")
     catalog = [r for r in build_catalog(64).rings
-               if r.provenance[0] in ("zmod", "gf", "product")]
+               if r.provenance[0] in ("zmod", "gf", "product", "matrix")]
     return catalog + hom_ladder_rings() + [parse_ring(spec, wide) for spec in specs]
 
 
@@ -1077,7 +1103,8 @@ def test_construction_agrees_with_closure_and_table_scan():
 
 def test_hom_builds_no_table_of_a_constructed_ring():
     wide = Caps(table_size=128)
-    for spec in ("zmod:128", "gf:2:7", ":".join(["product:zmod:2"] * 6 + ["zmod:2"])):
+    for spec in ("zmod:128", "gf:2:7", "matrix:2:zmod:3",
+                 ":".join(["product:zmod:2"] * 6 + ["zmod:2"])):
         ring = parse_ring(spec, wide)
         render_hom_json(ring, hom_poset(ring), spec)
         factors = [ring]
