@@ -7,6 +7,11 @@ morphisms into catalog targets, meets are re-realized through product
 morphisms, factorizations are re-found by exhaustive search, and so on.
 A claim that fails carries a concrete witness.
 
+Each claim is a generator over the battery's context: it yields once per
+item it checks and returns its witness, or None when it holds.
+verify_theorems counts the yields; a claim that raises has failed, with
+the exception as its witness.
+
 The catalog is deterministic for a given bound, every claim iterates in
 canonical order, and reports render byte-identically across runs.
 
@@ -213,73 +218,60 @@ class _Ctx:
 
 
 def _claim_ring_axioms(ctx):
-    checked = 0
     for r in ctx.rings:
-        checked += 1
+        yield
         bad = check_table_axioms(r)
         if bad:
-            return checked, f"{ring_label(r)}: {bad[0]}"
-    return checked, None
+            return f"{ring_label(r)}: {bad[0]}"
 
 
 def _claim_regular_units(ctx):
-    checked = 0
     for r in ctx.rings:
-        checked += 1
+        yield
         if regular_elements(r) != r.unit_indices:
-            return checked, f"{ring_label(r)}: regular set differs from unit group"
-    return checked, None
+            return f"{ring_label(r)}: regular set differs from unit group"
 
 
 def _claim_directly_finite(ctx):
-    checked = 0
     for r in ctx.rings:
-        checked += 1
+        yield
         if not is_directly_finite(r):
-            return checked, f"{ring_label(r)}: one-sided inverse is not two-sided"
-    return checked, None
+            return f"{ring_label(r)}: one-sided inverse is not two-sided"
 
 
 def _claim_units_saturated(ctx):
-    checked = 0
     for r in ctx.rings:
-        checked += 1
+        yield
         if not is_saturated(r, r.unit_indices):
-            return checked, f"{ring_label(r)}: unit group is not saturated"
-    return checked, None
+            return f"{ring_label(r)}: unit group is not saturated"
 
 
 def _claim_pair_invariants(ctx):
     # many morphisms share a pair, so each distinct (ring, pair) is judged
     # once; a failure ends the claim, so only the pairs that held are kept
     held = set()
-    checked = 0
     for f in ctx.all_morphisms():
-        checked += 1
+        yield
         pair = (f.source, f.kernel_members, f.unit_preimage_members)
         if pair in held:
             continue
         report = validate_pair(*pair)
         if not report.ok:
             key = report.failed()[0].key
-            return checked, f"pair of {f!r} fails {key}"
+            return f"pair of {f!r} fails {key}"
         if not radical_translation_holds(f.source, pair_of_morphism(f)):
-            return checked, f"pair of {f!r} not stable under radical translation"
+            return f"pair of {f!r} not stable under radical translation"
         held.add(pair)
-    return checked, None
 
 
 def _claim_poset_search(ctx):
-    checked = 0
     for r in ctx.rings:
-        checked += 1
+        yield
         ok, missing, extra = verify_hom_construction(r, ctx.catalog, ctx.caps)
         if not ok:
             what = "missing" if missing else "unrealized"
             sets = (missing or extra)[0]
-            return checked, (
-                f"{ring_label(r)}: {what} pair with ideal {sorted(sets[0])}"
-            )
+            return f"{ring_label(r)}: {what} pair with ideal {sorted(sets[0])}"
         # covers from member sets alone, with the whole ring in TOP's place
         bar = hom_poset(r, adjoin_top=True)
         ideals = [p.ideal for p in bar.elements] + [r.index_set]
@@ -288,13 +280,11 @@ def _claim_poset_search(ctx):
         plain = [(i, j) for i, j in edges if j < len(bar.elements)]
         for what, poset, want in (("", hom_poset(r), plain), ("completed ", bar, edges)):
             if list(poset.covers) != want:
-                return checked, (f"{ring_label(r)}: Hasse covers of the {what}poset "
-                                 "differ from ideal inclusion")
-    return checked, None
+                return (f"{ring_label(r)}: Hasse covers of the {what}poset "
+                        "differ from ideal inclusion")
 
 
 def _claim_compose_order(ctx):
-    checked = 0
     for r in ctx.small_rings:
         for s in ctx.small_rings:
             fs = ctx.morphisms(r, s)
@@ -303,16 +293,12 @@ def _claim_compose_order(ctx):
             for t in ctx.small_rings:
                 for g in ctx.morphisms(s, t):
                     for f in fs:
-                        checked += 1
+                        yield
                         if not leq(pair_of_morphism(f), pair_of_morphism(compose(g, f))):
-                            return checked, (
-                                f"pair of composite dropped below pair of {f!r}"
-                            )
-    return checked, None
+                            return f"pair of composite dropped below pair of {f!r}"
 
 
 def _claim_meet_product(ctx):
-    checked = 0
     for r in ctx.rings:
         poset = hom_poset(r)
         quotients = {p: make_quotient(r, Ideal(r, p.ideal)) for p in poset.elements}
@@ -320,22 +306,21 @@ def _claim_meet_product(ctx):
             for q in poset.elements:
                 m = meet(p, q)
                 if m not in poset.index:
-                    return checked, f"meet of pairs over {ring_label(r)} not realized"
+                    return f"meet of pairs over {ring_label(r)} not realized"
                 qp, jp = quotients[p]
                 qq, jq = quotients[q]
                 if qp.size * qq.size > ctx.caps.table_size:
                     continue
-                checked += 1
+                yield
                 prod = make_product(qp, qq, ctx.caps)
                 images = tuple(
                     jp.images[x] * qq.size + jq.images[x] for x in range(r.size)
                 )
                 h = RingMorphism(r, prod, images)
                 if (h.kernel_members, h.unit_preimage_members) != (m.ideal, m.mset):
-                    return checked, (
+                    return (
                         f"product morphism over {ring_label(r)} realizes a different meet"
                     )
-    return checked, None
 
 
 def _claim_functor_laws(ctx):
@@ -348,13 +333,12 @@ def _claim_functor_laws(ctx):
             pullbacks[f] = hom_functor(f)
         return pullbacks[f]
 
-    checked = 0
     for r in ctx.small_rings:
         fm = pullback(identity_morphism(r))
         for p in fm.domain.elements:
-            checked += 1
+            yield
             if fm.apply(p) != p:
-                return checked, f"identity functor moves a pair over {ring_label(r)}"
+                return f"identity functor moves a pair over {ring_label(r)}"
     for r in ctx.small_rings:
         for s in ctx.small_rings:
             for f in ctx.morphisms(r, s):
@@ -364,14 +348,12 @@ def _claim_functor_laws(ctx):
                     # hom_functor pulls back only the ideal
                     pre_mset = {i for i, y in enumerate(f.images) if y in a.mset}
                     if fmap.apply(a).mset != pre_mset:
-                        return checked, (
-                            f"pullback along {f!r} of {a!r} is not the preimage of its M"
-                        )
+                        return f"pullback along {f!r} of {a!r} is not the preimage of its M"
                     for b in dom.elements:
                         if leq(a, b):
-                            checked += 1
+                            yield
                             if not leq(fmap.apply(a), fmap.apply(b)):
-                                return checked, f"pullback along {f!r} breaks order"
+                                return f"pullback along {f!r} breaks order"
             for t in ctx.small_rings:
                 for f in ctx.morphisms(r, s):
                     for g in ctx.morphisms(s, t):
@@ -379,28 +361,25 @@ def _claim_functor_laws(ctx):
                         m1 = hom_functor(gf)
                         m2f, m2g = pullback(f), pullback(g)
                         for p in m1.domain.elements:
-                            checked += 1
+                            yield
                             if m1.apply(p) != m2f.apply(m2g.apply(p)):
-                                return checked, (
+                                return (
                                     "pullback along a composite differs from "
                                     f"composed pullbacks at {p!r}"
                                 )
-    return checked, None
 
 
 def _claim_corner_split(ctx):
-    checked = 0
     for prod in ctx.product_rings:
         for s in ctx.rings:
             for f in ctx.morphisms(prod, s):
-                checked += 1
+                yield
                 dec = decompose_product_morphism(f)
                 if rebuild_product_morphism(dec) != f:
-                    return checked, f"corner rebuild differs from {f!r}"
+                    return f"corner rebuild differs from {f!r}"
                 e = dec.idempotent
                 if s.mul_table[e][e] != e:
-                    return checked, f"split element of {f!r} is not idempotent"
-    return checked, None
+                    return f"split element of {f!r} is not idempotent"
 
 
 def _claim_product_poset(ctx):
@@ -408,9 +387,8 @@ def _claim_product_poset(ctx):
     rings._ideal_lattice), so this compares a product-derived lattice with
     its factors: the split and its order.  That the lattice is the
     product's own is poset-search's check, by morphism search."""
-    checked = 0
     for prod in ctx.product_rings:
-        checked += 1
+        yield
         iso = product_decompose_poset(prod)
         n2 = iso.factor2.size
         for p, (x1, x2) in iso.forward.items():
@@ -418,34 +396,31 @@ def _claim_product_poset(ctx):
             i1 = range(iso.factor1.size) if x1 is TOP else x1.ideal
             i2 = range(n2) if x2 is TOP else x2.ideal
             if p is not TOP and p.ideal != {a * n2 + b for a in i1 for b in i2}:
-                return checked, f"{ring_label(prod)}: product ideal does not split"
+                return f"{ring_label(prod)}: product ideal does not split"
         if len(iso.backward) != len(iso.forward):
-            return checked, f"{ring_label(prod)}: factor split is not injective"
+            return f"{ring_label(prod)}: factor split is not injective"
         bar1 = hom_poset(iso.factor1, adjoin_top=True)
         bar2 = hom_poset(iso.factor2, adjoin_top=True)
         if len(iso.forward) != len(bar1) * len(bar2):
-            return checked, f"{ring_label(prod)}: factor split is not onto"
+            return f"{ring_label(prod)}: factor split is not onto"
         for x, (x1, x2) in iso.forward.items():
             for y, (y1, y2) in iso.forward.items():
                 if leq(x, y) != (leq(x1, y1) and leq(x2, y2)):
-                    return checked, f"{ring_label(prod)}: order not preserved at {x}, {y}"
-    return checked, None
+                    return f"{ring_label(prod)}: order not preserved at {x}, {y}"
 
 
 def _claim_prime_pairs_maximal(ctx):
-    checked = 0
     for r in ctx.rings:
         mx = set(max_elements(hom_poset(r)))
         for ideal in proper_ideals(r):
             if is_completely_prime(r, ideal):
-                checked += 1
+                yield
                 pair = least_of_fiber(r, ideal)
                 if pair not in mx:
-                    return checked, (
+                    return (
                         f"complete prime {sorted(ideal.members)} of {ring_label(r)} "
                         "gives a non-maximal pair"
                     )
-    return checked, None
 
 
 def _claim_max_spec(ctx):
@@ -453,56 +428,50 @@ def _claim_max_spec(ctx):
     # a morphism into a division ring (a finite field, by Wedderburn) has the
     # pair of its corestriction to the image, a field no larger than r
     fields = tuple(r for r in ctx.rings if is_field(r))
-    checked = 0
     for r in ctx.rings:
-        checked += 1
+        yield
         report = maximality_chain(r)
         for p in report.completely_prime_pairs:
             if p.mset != r.index_set - p.ideal:
-                return checked, (
+                return (
                     f"{ring_label(r)}: M over the complete prime {sorted(p.ideal)} "
                     "is not its complement"
                 )
         if not report.chain_holds:
-            return checked, f"{ring_label(r)}: containment chain fails"
+            return f"{ring_label(r)}: containment chain fails"
         if r.is_commutative and (
             {p for _, p in spec_correspondence(r)} != set(report.maximal_pairs)
         ):
-            return checked, f"{ring_label(r)}: primes and maximal pairs disagree"
+            return f"{ring_label(r)}: primes and maximal pairs disagree"
         searched = {
             pair_of_morphism(f)
             for t in fields if t.size <= r.size
             for f in ctx.morphisms(r, t)
         }
         if report.division_pairs != tuple(sorted(searched, key=HomPair.sort_key)):
-            return checked, (
+            return (
                 f"{ring_label(r)}: division pairs differ from the pairs of "
                 "morphisms into fields"
             )
-    return checked, None
 
 
 def _claim_greatest_unique_prime(ctx):
-    checked = 0
     for r in ctx.commutative_rings:
-        checked += 1
+        yield
         primes = [i for i in proper_ideals(r) if is_completely_prime(r, i)]
         greatest = has_greatest(hom_poset(r))
         if (greatest is not None) != (len(primes) == 1):
-            return checked, (
+            return (
                 f"{ring_label(r)}: greatest pair vs unique prime disagree "
                 f"({len(primes)} primes)"
             )
-    return checked, None
 
 
 def _claim_max_nonempty(ctx):
-    checked = 0
     for r in ctx.rings:
-        checked += 1
+        yield
         if not max_elements(hom_poset(r)):
-            return checked, f"{ring_label(r)}: no maximal pair"
-    return checked, None
+            return f"{ring_label(r)}: no maximal pair"
 
 
 def _position_table(op, els):
@@ -525,7 +494,6 @@ def _claim_bar_lattice(ctx):
     # ordered pair, when a check first reads it, and the laws are checked on
     # tables of element positions; a failure, or a raise, comes at the same
     # pair as with a call per check
-    checked = 0
     for r in ctx.rings:
         bar = hom_poset(r, adjoin_top=True)
         els = list(bar)
@@ -534,17 +502,17 @@ def _claim_bar_lattice(ctx):
         idx = range(len(els))
         for x in idx:
             for y in idx:
-                checked += 1
+                yield
                 mxy, jxy = meet_at(x, y), join_at(x, y)
                 if mxy is None or jxy is None:
-                    return checked, (
+                    return (
                         f"lattice operation over {ring_label(r)} leaves the completed poset"
                     )
                 if meet_at(y, x) != mxy or join_at(y, x) != jxy:
-                    return checked, f"lattice operations not commutative over {ring_label(r)}"
+                    return f"lattice operations not commutative over {ring_label(r)}"
                 # absorption
                 if meet_at(x, jxy) != x or join_at(x, mxy) != x:
-                    return checked, f"absorption fails over {ring_label(r)}"
+                    return f"absorption fails over {ring_label(r)}"
         if len(els) <= 12:
             # every ordered pair has been read above, inside the poset
             mt = [[meets[x, y] for y in idx] for x in idx]
@@ -553,16 +521,14 @@ def _claim_bar_lattice(ctx):
                 for y in idx:
                     mxy, jxy, my, jy = mt[x][y], jt[x][y], mt[y], jt[y]
                     for z in idx:
-                        checked += 1
+                        yield
                         if mt[mxy][z] != mt[x][my[z]]:
-                            return checked, f"meet not associative over {ring_label(r)}"
+                            return f"meet not associative over {ring_label(r)}"
                         if jt[jxy][z] != jt[x][jy[z]]:
-                            return checked, f"join not associative over {ring_label(r)}"
-    return checked, None
+                            return f"join not associative over {ring_label(r)}"
 
 
 def _claim_join_quotient(ctx):
-    checked = 0
     for r in ctx.rings:
         poset = hom_poset(r)
         bar = hom_poset(r, adjoin_top=True)
@@ -571,7 +537,7 @@ def _claim_join_quotient(ctx):
         sums = {}
         for p in poset.elements:
             for q in poset.elements:
-                checked += 1
+                yield
                 union = p.ideal | q.ideal
                 if union not in sums:
                     summed = ideal_generated_by(r, union)
@@ -580,36 +546,32 @@ def _claim_join_quotient(ctx):
                 j = join_ext(p, q, bar)
                 if expected is not None:
                     if j is TOP or j != expected:
-                        return checked, (
+                        return (
                             f"join over {ring_label(r)} differs from the pair of "
                             "the summed ideal"
                         )
                 elif j is not TOP:
-                    return checked, (
+                    return (
                         f"join over {ring_label(r)} should be absent: summed ideal "
                         "is improper"
                     )
-    return checked, None
 
 
 def _claim_universal_contract(ctx):
-    checked = 0
     for r in ctx.rings:
         for p in hom_poset(r).elements:
-            checked += 1
+            yield
             loc = universal_inverting_finite(r, p)
             if pair_of_morphism(loc.canonical) != p:
-                return checked, (
+                return (
                     f"universal morphism for a pair over {ring_label(r)} has the "
                     "wrong pair"
                 )
             if not loc.canonical.is_surjective:
-                return checked, f"universal morphism over {ring_label(r)} not onto"
-    return checked, None
+                return f"universal morphism over {ring_label(r)} not onto"
 
 
 def _claim_universal_factor(ctx):
-    checked = 0
     for r in ctx.small_rings:
         locs = [(p, universal_inverting_finite(r, p)) for p in hom_poset(r).elements]
         for s in ctx.small_rings:
@@ -617,34 +579,33 @@ def _claim_universal_factor(ctx):
                 fp = pair_of_morphism(f)
                 for p, loc in locs:
                     if leq(p, fp):
-                        checked += 1
+                        yield
                         try:
                             g = factor_through(loc.canonical, f)
                         except NoFactorization:
-                            return checked, (
+                            return (
                                 f"no factorization of {f!r} through the universal "
                                 f"morphism of a pair below it"
                             )
                         if compose(g, loc.canonical) != f:
-                            return checked, f"factorization of {f!r} does not compose back"
+                            return f"factorization of {f!r} does not compose back"
                         found = sum(compose(h, loc.canonical) == f
                                     for h in ctx.morphisms(loc.ring, s))
                         if found != 1:
-                            return checked, (
+                            return (
                                 f"{found} morphisms factor {f!r} through the "
                                 "universal morphism of a pair below it"
                             )
                     else:
-                        checked += 1
+                        yield
                         try:
                             factor_through(loc.canonical, f)
-                            return checked, (
+                            return (
                                 f"factorization of {f!r} through an unrelated pair "
                                 "should not exist"
                             )
                         except NoFactorization:
                             pass
-    return checked, None
 
 
 def _morphism_problem(g):
@@ -658,113 +619,100 @@ def _morphism_problem(g):
 
 
 def _claim_corestriction_epi(ctx):
-    checked = 0
     for r in ctx.small_rings:
         for s in ctx.small_rings:
             for f in ctx.morphisms(r, s):
-                checked += 1
+                yield
                 co = epimorphic_corestriction(f)
                 g = co.corestriction
                 problem = _morphism_problem(g)
                 if problem:
-                    return checked, f"corestriction of {f!r} is not a morphism: {problem}"
+                    return f"corestriction of {f!r} is not a morphism: {problem}"
                 if g.kernel_members != f.kernel_members:
-                    return checked, f"corestriction of {f!r} changes the kernel"
+                    return f"corestriction of {f!r} changes the kernel"
                 if g.unit_preimage_members != f.unit_preimage_members:
-                    return checked, f"corestriction of {f!r} changes the unit preimage"
+                    return f"corestriction of {f!r} changes the unit preimage"
                 if not is_ring_epimorphism(g):
-                    return checked, f"corestriction of {f!r} is not epi"
-    return checked, None
+                    return f"corestriction of {f!r} is not epi"
 
 
 def _claim_factor_stages(ctx):
-    checked = 0
     for r in ctx.small_rings:
         for s in ctx.small_rings:
             for f in ctx.morphisms(r, s):
-                checked += 1
+                yield
                 fact = canonical_factorization(f)
                 for stage, g in (("collapse", fact.collapse), ("embedding", fact.embed)):
                     problem = _morphism_problem(g)
                     if problem:
-                        return checked, f"{stage} stage of {f!r} is not a morphism: {problem}"
+                        return f"{stage} stage of {f!r} is not a morphism: {problem}"
                 if fact.composite() != f:
-                    return checked, f"stages of {f!r} do not compose back"
+                    return f"stages of {f!r} do not compose back"
                 collapse = fact.collapse
                 if not (collapse.is_surjective and is_ring_epimorphism(collapse)):
-                    return checked, f"collapse stage of {f!r} is not epi"
+                    return f"collapse stage of {f!r} is not epi"
                 if not fact.embed.is_injective:
-                    return checked, f"embedding stage of {f!r} is not injective"
-    return checked, None
+                    return f"embedding stage of {f!r} is not injective"
 
 
 def _claim_fiber_least(ctx):
-    checked = 0
     for r in ctx.rings:
         by_ideal = {}
         for ideal, mset in realized_pairs(r, ctx.catalog, ctx.caps):
             by_ideal.setdefault(ideal, set()).add(mset)
         for ideal in proper_ideals(r):
-            checked += 1
+            yield
             fiber = by_ideal.get(ideal.members, set())
             if len(fiber) != 1:
-                return checked, (
+                return (
                     f"fiber over {sorted(ideal.members)} in {ring_label(r)} has "
                     f"{len(fiber)} members"
                 )
             expected = least_of_fiber(r, ideal)
             if fiber != {expected.mset}:
-                return checked, (
+                return (
                     f"fiber over {sorted(ideal.members)} in {ring_label(r)} is not "
                     "the projection pair"
                 )
-    return checked, None
 
 
 def _claim_local_criterion(ctx):
     # jacobson_radical builds its ideal unchecked, so each source's is
     # checked here, once
     radicals = {}
-    checked = 0
     for f in ctx.all_morphisms():
-        checked += 1
+        yield
         src = f.source
         if src not in radicals:
             jac = radicals[src] = jacobson_radical(src).members
             if not _is_ideal(src, jac):
-                return checked, f"{ring_label(src)}: radical {sorted(jac)} is not an ideal"
+                return f"{ring_label(src)}: radical {sorted(jac)} is not an ideal"
         radical = f.kernel_members <= radicals[src]
         if is_local_morphism(f) != radical:
-            return checked, (
-                f"{f!r}: unit reflection and the radical criterion disagree"
-            )
-    return checked, None
+            return f"{f!r}: unit reflection and the radical criterion disagree"
 
 
 def _claim_limit_exchange(ctx):
-    checked = 0
     try:
         f2 = make_finite_field(2, 1, ctx.caps)
         f4 = make_finite_field(2, 2, ctx.caps)
         f16 = make_finite_field(2, 4, ctx.caps)
         z4, z2 = make_zmod(4, ctx.caps), make_zmod(2, ctx.caps)
     except CapExceeded:
-        return checked, None
+        return
     chains = [
         ([f2, f4, f16], [ctx.morphisms(f2, f4)[0], ctx.morphisms(f4, f16)[0]]),
         ([z4, z2], [ctx.morphisms(z4, z2)[0]]),
     ]
     for rings, maps in chains:
-        checked += 1
+        yield
         report = limit_exchange_check(rings, maps)
         if not report.ok:
             labels = " -> ".join(ring_label(r) for r in rings)
-            return checked, f"poset of the last stage is not the limit along {labels}"
-    return checked, None
+            return f"poset of the last stage is not the limit along {labels}"
 
 
 def _claim_fraction_pairs(ctx):
-    checked = 0
     for r in ctx.commutative_rings:
         if r.size > 10:
             continue
@@ -780,26 +728,25 @@ def _claim_fraction_pairs(ctx):
             rep = denominator_analysis(r, members)
             if not rep.is_left_denominator or rep.fraction_ring is None:
                 continue
-            checked += 1
+            yield
             # denominator_analysis builds ass(T) unchecked
             if not _is_ideal(r, rep.ass_ideal.members):
-                return checked, (
+                return (
                     f"ass(T) of T={sorted(members)} over {ring_label(r)} is not an ideal: "
                     f"{sorted(rep.ass_ideal.members)}"
                 )
             realized = hom_poset(r).index
             frac_pair = pair_of_morphism(rep.fraction_map)
             if frac_pair not in realized:
-                return checked, (
+                return (
                     f"fraction pair of T={sorted(members)} over {ring_label(r)} "
                     "is not realized"
                 )
             if not members <= frac_pair.mset:
-                return checked, (
+                return (
                     f"T={sorted(members)} escapes the unit preimage of its own "
                     f"fraction ring over {ring_label(r)}"
                 )
-    return checked, None
 
 
 CLAIMS = (
@@ -918,8 +865,16 @@ def verify_theorems(catalog: Catalog, only: str | None = None,
     for key, title, fn in CLAIMS:
         if only is not None and only not in key:
             continue
+        checked = 0
         try:
-            checked, witness = fn(ctx)
+            claim = fn(ctx)
+            while True:
+                try:
+                    next(claim)
+                except StopIteration as done:
+                    witness = done.value
+                    break
+                checked += 1
         except CapExceeded:
             raise
         except Exception as e:

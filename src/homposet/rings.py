@@ -621,17 +621,18 @@ def _zmod_tables(n: int):
     return add, mul
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _least_factor(n: int, d: int = 2) -> int:
+    """The least divisor of n that is at least d, or n.  Trial division
+    from d, which is 2 or odd, for an n with no divisor in [2, d)."""
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            return d
+        d += 1 if d == 2 else 2
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 def _poly_mul_mod(f, g, modulus, p):

@@ -18,30 +18,24 @@ from dataclasses import dataclass
 
 from .errors import NotPrime
 from .pairs import TOP
-from .rings import is_prime
+from .rings import _least_factor, is_prime
+
+
+def factorization(n: int) -> tuple:
+    """((p, e), ...) with p ascending: the prime factorization of |n|."""
+    n, p, out = abs(n), 2, []
+    while n > 1:
+        p = _least_factor(n, p)
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
 
 
 def prime_divisors(n: int) -> frozenset:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return frozenset(out)
-
-
-def _p_adic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return frozenset(p for p, _ in factorization(n))
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,7 @@ def z_leq(x, y) -> bool:
     if not x.is_modular and not y.is_modular:
         return y.primes.is_subset(x.primes)
     if not x.is_modular and y.is_modular:
-        return PrimeSet(False, prime_divisors(y.modulus)).is_subset(x.primes)
+        return all(p in x.primes for p in prime_divisors(y.modulus))
     return False  # modular never lies below zero-kernel: nZ is not inside 0
 
 
@@ -164,9 +158,9 @@ def z_join(x, y):
         return z_zero_kernel(x.primes.intersection(y.primes))
     zk, md = (x, y) if not x.is_modular else (y, x)
     k = 1
-    for p in sorted(prime_divisors(md.modulus)):
+    for p, e in factorization(md.modulus):
         if p in zk.primes:
-            k *= p ** _p_adic_valuation(md.modulus, p)
+            k *= p ** e
     return z_modular(k) if k >= 2 else TOP
 
 
@@ -200,10 +194,7 @@ def _fmt_val(v) -> str:
 
 def exponent_vector(x: ZHomElement) -> ExponentVector:
     if x.is_modular:
-        overrides = tuple(
-            (p, _p_adic_valuation(x.modulus, p)) for p in sorted(prime_divisors(x.modulus))
-        )
-        return ExponentVector(0, overrides, 0)
+        return ExponentVector(0, factorization(x.modulus), 0)
     ps = x.primes
     if ps.cofinite:
         return ExponentVector(math.inf, tuple((p, 0) for p in sorted(ps.members)), 1)

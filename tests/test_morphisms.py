@@ -32,6 +32,7 @@ from homposet.rings import (
     make_quotient,
     make_zmod,
     ring_from_tables,
+    subring,
 )
 
 
@@ -262,6 +263,42 @@ def test_surjections_are_epimorphisms():
     assert is_ring_epimorphism(pi)
     assert epi_obstruction_invariants(pi) == ()
     assert is_ring_epimorphism(identity_morphism(z6))
+
+
+def test_epimorphisms_off_surjections_agree_with_the_catalog():
+    # a non-surjective epimorphism f: R -> S needs R or S noncommutative, and
+    # no two distinct morphisms out of S may agree on the image of f
+    catalog = build_catalog(16)
+    tested = 0
+    for src in catalog.rings:
+        for tgt in catalog.rings:
+            for f in enumerate_morphisms(src, tgt):
+                if f.is_surjective:
+                    continue
+                tested += 1
+                epi = is_ring_epimorphism(f)
+                if src.is_commutative and tgt.is_commutative:
+                    assert not epi, f
+                if epi:
+                    image = sorted(f.image_members)
+                    for t in catalog.rings:
+                        on_image = [tuple(g.images[y] for y in image)
+                                    for g in enumerate_morphisms(tgt, t)]
+                        assert len(set(on_image)) == len(on_image), (f, t)
+    assert tested == 444
+
+
+def test_upper_triangular_inclusion_is_epi():
+    # T2(F2) in M2(F2): the matrices with digit 2 (row 1, column 0) zero
+    m2 = make_matrix_ring(make_zmod(2), 2)
+    t2, carrier = subring(m2, [i for i in range(m2.size) if (i >> 2) & 1 == 0])
+    assert t2.size == 8
+    inc = RingMorphism(t2, m2, carrier)
+    assert not inc.is_surjective and is_ring_epimorphism(inc)
+    outs = [g for t in build_catalog(16).rings for g in enumerate_morphisms(m2, t)]
+    assert len(outs) == 6
+    on_image = {(g.target, tuple(g.images[y] for y in carrier)) for g in outs}
+    assert len(on_image) == 6
 
 
 def test_epi_obstruction_larger_extension():

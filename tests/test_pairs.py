@@ -1,4 +1,5 @@
 """Pair construction, the membership criterion, order and meet laws."""
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from homposet.pairs import (
     radical_translation_holds,
     validate_pair,
 )
-from homposet.oracle import build_catalog
+from homposet.oracle import build_catalog, realized_pairs
 from homposet.poset import hom_poset
 from homposet.rings import (
     Ideal,
@@ -235,6 +236,23 @@ def test_validate_pair_product_ring():
     assert report.ok
     report2 = validate_pair(p, {0, 1, 2}, {4, 5})
     assert not report2.ok  # misses 3, which is 1 mod the ideal
+
+
+def test_membership_criterion_holds_exactly_on_realized_pairs():
+    # the converse of the criterion: each (I, M) with 0 in I, 1 not in I,
+    # 1 in M and M off I passes iff a morphism into the catalog realizes it
+    catalog = build_catalog(8)
+    calls = 0
+    for ring in catalog.rings:
+        realized = set(realized_pairs(ring, catalog))
+        others = [x for x in range(ring.size) if x not in (ring.zero, ring.one)]
+        for places in itertools.product((None, "I", "M"), repeat=len(others)):
+            imembers = frozenset([ring.zero] + [x for x, w in zip(others, places) if w == "I"])
+            mmembers = frozenset([ring.one] + [x for x, w in zip(others, places) if w == "M"])
+            calls += 1
+            ok = validate_pair(ring, imembers, mmembers).ok
+            assert ok == ((imembers, mmembers) in realized), (ring, imembers, mmembers)
+    assert calls == 3379
 
 
 def reference_regularity_clause(ring, imembers, mmembers):
