@@ -31,6 +31,7 @@ from .pairs import TOP
 from .poset import hasse, hom_poset
 from .rings import (
     FiniteRing,
+    format_ring,
     ideal_generated_by,
     make_finite_field,
     make_matrix_ring,
@@ -100,24 +101,6 @@ def _parse_at(tokens, pos, caps):
         ring, _ = make_quotient(base, ideal)
         return ring, nxt + 1
     raise ValueError(f"unknown ring constructor {head!r}")
-
-
-def format_ring(ring: FiniteRing) -> str:
-    """Canonical description; parse_ring(format_ring(r)) rebuilds equal tables."""
-    prov = ring.provenance
-    tag = prov[0]
-    if tag == "zmod":
-        return f"zmod:{prov[1]}"
-    if tag == "gf":
-        return f"gf:{prov[1]}:{prov[2]}"
-    if tag == "product":
-        return f"product:{format_ring(prov[1])}:{format_ring(prov[2])}"
-    if tag == "matrix":
-        return f"matrix:{prov[1]}:{format_ring(prov[2])}"
-    if tag == "quotient":
-        gens = ",".join(map(str, prov[2]))
-        return f"quot:{format_ring(prov[1])}:gens={gens}"
-    raise ValueError(f"ring {ring_label(ring)} has no description grammar")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .abelian import cokernel_invariants, group_presentation
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, NotComposable
 from .rings import (
+    Corner,
     FiniteRing,
     Ideal,
     RingMorphism,
@@ -227,7 +228,7 @@ def _corner(parent: FiniteRing, e: int):
         members = sorted({mul[mul[e][x]][e] for x in range(parent.size)})
         ring, carrier = subring(parent, members, one=e, allow_trivial=True)
     ring = FiniteRing(ring.size, ring.add_table, ring.mul_table, ring.zero,
-                      ring.one, ("corner", parent, carrier))
+                      ring.one, Corner(parent, carrier))
     return ring, carrier
 
 

@@ -73,6 +73,7 @@ from .poset import (
 from .rings import (
     FiniteRing,
     Ideal,
+    Product,
     RingMorphism,
     _is_ideal,
     check_table_axioms,
@@ -198,7 +199,7 @@ class _Ctx:
 
     @cached_property
     def product_rings(self):
-        return tuple(r for r in self.rings if r.provenance[0] == "product")
+        return tuple(r for r in self.rings if isinstance(r.provenance, Product))
 
     def morphisms(self, src, tgt):
         """enumerate_morphisms, kept by catalog positions; a ring outside

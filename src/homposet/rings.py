@@ -11,10 +11,12 @@ rejected by every public constructor; only corner extraction (see
 morphisms.decompose_product_morphism) may build it, via _from_tables with
 allow_trivial=True.
 
-Z/n, GF(q), products and matrix rings over a field know their units,
-ideals and U(R) + I from their construction (FiniteRing.unit_indices,
-_ideal_lattice), so they build their tables only when something reads
-add_table or mul_table.  GL_k(F) is built from F's tables alone.
+A ring's provenance is one record per construction family (ZMod, Field,
+Product, Matrix, Quotient, Subring, Corner; Tables for raw tables), which
+answers what the family knows: tables, units, ideals with U(R) + I, labels
+and description.  Z/n, GF(q), products and matrix rings over a field build
+their tables only when something reads add_table or mul_table; GL_k(F) is
+built from F's tables alone.  Only this module reads a record's fields.
 """
 from __future__ import annotations
 
@@ -58,13 +60,52 @@ def per_ring(fn):
 
 
 @dataclass(frozen=True, eq=False)
+class Tables:
+    """How a ring was built: here, from tables alone, so units by a scan,
+    ideals by closure and no description.  Each family's subclass answers
+    what its construction knows, with tables() if built lazily.  eq=False:
+    a record never compares or hashes its rings' tables."""
+
+    def units(self, ring) -> frozenset:
+        # in an associative ring a unit's right inverse is unique, so the
+        # first 1 in its row is its two-sided inverse, and a non-unit fails
+        # the second test.  The oracle claim regular-units re-derives the
+        # set from the tables for every ring.
+        one = ring.one
+        mul = ring.mul_table
+        return frozenset(a for a, row in enumerate(mul)
+                         if one in row and mul[row.index(one)][a] == one)
+
+    def lattice(self, ring) -> list:
+        """(I, U(R) + I) for every ideal: closed ideals, translated units."""
+        add, pairs = ring.add_table, []
+        for members in _closed_ideals(ring):
+            mset = set()
+            for u in ring.unit_indices:
+                if u not in mset:
+                    row = add[u]
+                    mset.update([row[i] for i in members])
+            pairs.append((members, frozenset(mset)))
+        return pairs
+
+    def label(self, ring) -> str:
+        return f"ring{ring.size}"
+
+    def element(self, ring, index: int) -> str:
+        return str(index)
+
+    def spec(self, ring) -> str:
+        raise ValueError(f"ring {ring_label(ring)} has no description grammar")
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteRing:
     size: int
     add_table: tuple
     mul_table: tuple
     zero: int
     one: int
-    provenance: tuple = ("raw",)
+    provenance: Tables = Tables()
 
     def __eq__(self, other):
         if self is other:
@@ -112,26 +153,8 @@ class FiniteRing:
 
     @cached_property
     def unit_indices(self) -> frozenset:
-        # Z/n, GF(q), products and matrix rings know their units (a product
-        # from its factors' units alone, GL_k(F) from F's tables).
-        # Otherwise: in an associative ring a unit's right inverse is
-        # unique, so the first 1 in its row is its two-sided inverse, and a
-        # non-unit fails the second test.  The oracle claim regular-units
-        # re-derives the set from the tables either way.
-        tag, n = self.provenance[0], self.size
-        if tag == "zmod":
-            return _coprime_to(n, n)
-        if tag == "gf":
-            return frozenset(range(1, n))
-        if tag == "product":
-            r1, r2 = self.provenance[1:]
-            return _product_set(r1.unit_indices, r2.unit_indices, r2.size)
-        if tag == "matrix":
-            return _general_linear(*self.provenance[1:])
-        one = self.one
-        mul = self.mul_table
-        return frozenset(a for a, row in enumerate(mul)
-                         if one in row and mul[row.index(one)][a] == one)
+        """U(R), as the provenance record knows it."""
+        return self.provenance.units(self)
 
     @cached_property
     def additive_orders(self) -> tuple:
@@ -197,7 +220,7 @@ class _Table:
     def __get__(self, ring, owner=None):
         if ring is None:
             return self
-        add, mul = _TABLES_OF[ring.provenance[0]](*ring.provenance[1:])
+        add, mul = ring.provenance.tables()
         ring.__dict__.update(add_table=_freeze(add), mul_table=_freeze(mul))
         return ring.__dict__[self.name]
 
@@ -469,7 +492,7 @@ def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     one = _find_identity(mul_t, size)
     if zero is None or one is None:
         raise ValueError("tables have no additive or multiplicative identity")
-    ring = _from_tables(add_t, mul_t, zero, one, ("raw",))
+    ring = _from_tables(add_t, mul_t, zero, one, Tables())
     problems = check_table_axioms(ring)
     if problems:
         raise ValueError("; ".join(problems[:3]))
@@ -595,30 +618,51 @@ def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
         raise ZeroRingExcluded(f"zmod needs n >= 2, got {n}")
     if n > caps.table_size:
         raise CapExceeded(f"{n} > table cap {caps.table_size}")
-    return FiniteRing._constructed(n, 0, 1, ("zmod", n))
+    return FiniteRing._constructed(n, 0, 1, ZMod(n))
 
 
-def _zmod_tables(n: int):
-    """Tables of Z/n.  Addition row a is 0..n-1 rotated left by a, built by
-    slicing.  When a = b*c with b the least prime factor of a,
-    multiplication row a is row b read at row c, since a*y = b*(c*y) mod n;
-    rows of primes and of 0 and 1 are computed entry by entry."""
-    elems = tuple(range(n))
-    add = [elems[a:] + elems[:a] for a in range(n)]
-    least = [0] * n  # least prime factor of a composite a, else 0
-    for b in range(2, math.isqrt(n - 1) + 1):
-        if not least[b]:
-            for a in range(b * b, n, b):
-                if not least[a]:
-                    least[a] = b
-    mul = []
-    for a in range(n):
-        b = least[a]
-        if b:
-            mul.append(itemgetter(*mul[a // b])(mul[b]))
-        else:
-            mul.append(tuple([(a * y) % n for y in elems]))
-    return add, mul
+@dataclass(frozen=True, eq=False)
+class ZMod(Tables):
+    """Z/n: units prime to n, ideals dZ/nZ (d | n), U + dZ/nZ prime to d."""
+
+    n: int
+
+    def tables(self):
+        """Addition row a is 0..n-1 rotated left by a, built by slicing.
+        When a = b*c with b the least prime factor of a, multiplication row
+        a is row b read at row c, since a*y = b*(c*y) mod n; rows of primes
+        and of 0 and 1 are computed entry by entry."""
+        n = self.n
+        elems = tuple(range(n))
+        add = [elems[a:] + elems[:a] for a in range(n)]
+        least = [0] * n  # least prime factor of a composite a, else 0
+        for b in range(2, math.isqrt(n - 1) + 1):
+            if not least[b]:
+                for a in range(b * b, n, b):
+                    if not least[a]:
+                        least[a] = b
+        mul = []
+        for a in range(n):
+            b = least[a]
+            if b:
+                mul.append(itemgetter(*mul[a // b])(mul[b]))
+            else:
+                mul.append(tuple([(a * y) % n for y in elems]))
+        return add, mul
+
+    def units(self, ring):
+        return _coprime_to(self.n, self.n)
+
+    def lattice(self, ring):
+        n = self.n
+        return [(frozenset(range(0, n, d)), _coprime_to(d, n))
+                for d in range(1, n + 1) if n % d == 0]
+
+    def label(self, ring):
+        return f"Z/{self.n}"
+
+    def spec(self, ring):
+        return f"zmod:{self.n}"
 
 
 def _least_factor(n: int, d: int = 2) -> int:
@@ -784,36 +828,72 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     q = _capped_power(p, k, caps)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return FiniteRing._constructed(q, 0, 1, ("gf", p, k, _smallest_irreducible(p, k)))
+    return FiniteRing._constructed(q, 0, 1, Field(p, k, _smallest_irreducible(p, k)))
 
 
-def _field_tables(p: int, k: int, modulus: tuple):
-    """Tables of GF(p**k).  Addition rows are composed from the rows of
-    one-term polynomials (_digit_add_rows); multiplication row a is the exp
-    table rotated by log a, read at the logs."""
-    q = p**k
-    polys = [_digits(i, p, k) for i in range(q)]
-    add = _digit_add_rows([[(a + b) % p for b in range(p)] for a in range(p)], 0, k)
-    # the multiplicative group is cyclic: with exp listing the powers of a
-    # primitive element and log inverting it, a*b = exp[log a + log b]
-    order = q - 1
-    for g in range(1, q):
-        exp = [1]
-        while True:
-            nxt = _undigits(_poly_mul_mod(polys[exp[-1]], polys[g], modulus, p), p)
-            if nxt == 1:
+@dataclass(frozen=True, eq=False)
+class Field(Tables):
+    """GF(p**k) as Z/p[x] modulo `modulus`: units all but 0, two ideals."""
+
+    p: int
+    k: int
+    modulus: tuple
+
+    def tables(self):
+        """Addition rows are composed from the rows of one-term polynomials
+        (_digit_add_rows); multiplication row a is the exp table rotated by
+        log a, read at the logs."""
+        p, k, modulus = self.p, self.k, self.modulus
+        q = p**k
+        polys = [_digits(i, p, k) for i in range(q)]
+        add = _digit_add_rows([[(a + b) % p for b in range(p)] for a in range(p)], 0, k)
+        # the multiplicative group is cyclic: with exp listing the powers of
+        # a primitive element and log inverting it, a*b = exp[log a + log b]
+        order = q - 1
+        for g in range(1, q):
+            exp = [1]
+            while True:
+                nxt = _undigits(_poly_mul_mod(polys[exp[-1]], polys[g], modulus, p), p)
+                if nxt == 1:
+                    break
+                exp.append(nxt)
+            if len(exp) == order:
                 break
-            exp.append(nxt)
-        if len(exp) == order:
-            break
-    log = [0] * q
-    for i, x in enumerate(exp):
-        log[x] = i
-    exp2 = exp + exp
-    # row a is [0] + exp rotated by log a, read at 0 for b = 0 and at 1 + log b
-    at_logs = itemgetter(0, *[1 + log[b] for b in range(1, q)])
-    mul = [(0,) * q] + [at_logs([0] + exp2[log[a]:log[a] + order]) for a in range(1, q)]
-    return add, mul
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp
+        # row a is [0] + exp rotated by log a, read at 0 for b = 0 and at 1 + log b
+        at_logs = itemgetter(0, *[1 + log[b] for b in range(1, q)])
+        mul = [(0,) * q] + [at_logs([0] + exp2[log[a]:log[a] + order]) for a in range(1, q)]
+        return add, mul
+
+    def units(self, ring):
+        return frozenset(range(1, ring.size))
+
+    def lattice(self, ring):
+        # also M_k(F)'s, simple by Wedderburn-Artin
+        return [(frozenset({ring.zero}), ring.unit_indices),
+                (ring.index_set, ring.index_set)]
+
+    def label(self, ring):
+        return f"GF({self.p ** self.k})"
+
+    def element(self, ring, index):
+        terms = []
+        for d, c in enumerate(_digits(index, self.p, self.k)):
+            if c == 0:
+                continue
+            if d == 0:
+                terms.append(str(c))
+            elif d == 1:
+                terms.append("x" if c == 1 else f"{c}x")
+            else:
+                terms.append(f"x^{d}" if c == 1 else f"{c}x^{d}")
+        return "+".join(terms) if terms else "0"
+
+    def spec(self, ring):
+        return f"gf:{self.p}:{self.k}"
 
 
 def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
@@ -825,26 +905,53 @@ def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> F
     if size > caps.table_size:
         raise CapExceeded(f"{size} > table cap {caps.table_size}")
     return FiniteRing._constructed(size, r1.zero * n2 + r2.zero, r1.one * n2 + r2.one,
-                                   ("product", r1, r2))
+                                   Product(r1, r2))
 
 
-def _product_tables(r1: FiniteRing, r2: FiniteRing):
-    """Tables of R1 x R2.  Rows are gathered from grid, the index blocks
-    grid[v] = (v*n2, ..., v*n2 + n2-1).  lift2[a2] reads every block at
-    factor row a2, so entry (v, x) is (v, row2[x]); lift1[a1] picks the
-    entries (row1[v], x) of such a tuple.  So row (a1, a2) is
-    lift1[a1](lift2[a2]), built in C, and every entry of both tables is one
-    of the size ints in grid."""
-    n2 = r2.size
-    grid = [tuple(range(v, v + n2)) for v in range(0, r1.size * n2, n2)]
-    flat = itertools.chain.from_iterable
+@dataclass(frozen=True, eq=False)
+class Product(Tables):
+    """R1 x R2 from its factors: units U1 x U2, ideals I1 x I2, with
+    U + I1 x I2 = (U1 + I1) x (U2 + I2)."""
 
-    def rows(t1, t2):
-        lift2 = [tuple(flat(map(itemgetter(*row2), grid))) for row2 in t2]
-        lift1 = [itemgetter(*flat(itemgetter(*row1)(grid))) for row1 in t1]
-        return [pick(row) for pick in lift1 for row in lift2]
+    r1: FiniteRing
+    r2: FiniteRing
 
-    return rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table)
+    def tables(self):
+        """Rows are gathered from grid, the index blocks
+        grid[v] = (v*n2, ..., v*n2 + n2-1).  lift2[a2] reads every block at
+        factor row a2, so entry (v, x) is (v, row2[x]); lift1[a1] picks the
+        entries (row1[v], x) of such a tuple.  So row (a1, a2) is
+        lift1[a1](lift2[a2]), built in C, and every entry of both tables is
+        one of the size ints in grid."""
+        r1, r2 = self.r1, self.r2
+        n2 = r2.size
+        grid = [tuple(range(v, v + n2)) for v in range(0, r1.size * n2, n2)]
+        flat = itertools.chain.from_iterable
+
+        def rows(t1, t2):
+            lift2 = [tuple(flat(map(itemgetter(*row2), grid))) for row2 in t2]
+            lift1 = [itemgetter(*flat(itemgetter(*row1)(grid))) for row1 in t1]
+            return [pick(row) for pick in lift1 for row in lift2]
+
+        return rows(r1.add_table, r2.add_table), rows(r1.mul_table, r2.mul_table)
+
+    def units(self, ring):
+        return _product_set(self.r1.unit_indices, self.r2.unit_indices, self.r2.size)
+
+    def lattice(self, ring):
+        n2, lattice2 = self.r2.size, _ideal_lattice(self.r2).items()
+        return [(_product_set(i1, i2, n2), _product_set(m1, m2, n2))
+                for i1, m1 in _ideal_lattice(self.r1).items() for i2, m2 in lattice2]
+
+    def label(self, ring):
+        return f"{ring_label(self.r1)} x {ring_label(self.r2)}"
+
+    def element(self, ring, index):
+        n2 = self.r2.size
+        return f"({element_label(self.r1, index // n2)},{element_label(self.r2, index % n2)})"
+
+    def spec(self, ring):
+        return f"product:{format_ring(self.r1)}:{format_ring(self.r2)}"
 
 
 def _product_set(s1, s2, n2: int) -> frozenset:
@@ -858,9 +965,9 @@ def _coprime_to(d: int, n: int) -> frozenset:
 
 
 def product_factors(ring: FiniteRing):
-    if ring.provenance[0] != "product":
+    if not isinstance(ring.provenance, Product):
         raise NotAProduct(ring_label(ring))
-    return ring.provenance[1], ring.provenance[2]
+    return ring.provenance.r1, ring.provenance.r2
 
 
 def coset_reps(ring: FiniteRing, members) -> tuple:
@@ -904,9 +1011,27 @@ def make_quotient(ring: FiniteRing, ideal: Ideal):
 
     quotient = _from_tables(
         rows(ring.add_table), rows(ring.mul_table), proj[ring.zero], proj[ring.one],
-        ("quotient", ring, tuple(sorted(members))),
+        Quotient(ring, tuple(sorted(members)), reps),
     )
     return quotient, RingMorphism._trusted(ring, quotient, proj)
+
+
+@dataclass(frozen=True, eq=False)
+class Quotient(Tables):
+    """R/I: members lists I; element i is the coset of its least member reps[i]."""
+
+    parent: FiniteRing
+    members: tuple
+    reps: tuple
+
+    def label(self, ring):
+        return f"{ring_label(self.parent)}/({','.join(map(str, self.members))})"
+
+    def element(self, ring, index):
+        return element_label(self.parent, self.reps[index])
+
+    def spec(self, ring):
+        return f"quot:{format_ring(self.parent)}:gens={','.join(map(str, self.members))}"
 
 
 def is_field(ring: FiniteRing) -> bool:
@@ -924,33 +1049,61 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
     bzero = base.zero
     zero = _undigits((bzero,) * nn, q)
     one = _undigits([base.one if r == c else bzero for r in range(k) for c in range(k)], q)
-    return FiniteRing._constructed(size, zero, one, ("matrix", k, base))
+    return FiniteRing._constructed(size, zero, one, Matrix(k, base))
 
 
-def _matrix_tables(k: int, base: FiniteRing):
-    """Tables of M_k(F).  Addition is digitwise through the base table
-    (_digit_add_rows).  Right multiplication by B is additive, so row A of
-    the multiplication table is the entrywise sum of the rows of A's
-    leading entry and of the rest; only the rows of matrices with one
-    entry off zero are multiplied out."""
-    q, nn = base.size, k * k
-    size = q**nn
-    bzero, bmul = base.zero, base.mul_table
-    zero = _undigits((bzero,) * nn, q)
-    add = _digit_add_rows(base.add_table, bzero, nn)
-    mats = [_digits(i, q, nn) for i in range(size)]
+@dataclass(frozen=True, eq=False)
+class Matrix(Tables):
+    """M_k(F) over a field, row-major base-q digits: GL_k(F), two ideals."""
 
-    def single(t, d):
-        # d at (r, c) times B is d times row c of B, moved to row r
-        r, c = divmod(t, k)
-        dm, units = bmul[d], [q ** (r * k + j) for j in range(k)]
-        return tuple([
-            zero + sum((dm[B[c * k + j]] - bzero) * units[j] for j in range(k))
-            for B in mats
-        ])
+    k: int
+    base: FiniteRing
 
-    mul = _digit_rows(q, nn, bzero, (zero,) * size, single, partial(_plus_row, add))
-    return add, mul
+    def tables(self):
+        """Addition is digitwise through the base table (_digit_add_rows).
+        Right multiplication by B is additive, so row A of the
+        multiplication table is the entrywise sum of the rows of A's
+        leading entry and of the rest; only the rows of matrices with one
+        entry off zero are multiplied out."""
+        k, base = self.k, self.base
+        q, nn = base.size, k * k
+        size = q**nn
+        bzero, bmul = base.zero, base.mul_table
+        zero = _undigits((bzero,) * nn, q)
+        add = _digit_add_rows(base.add_table, bzero, nn)
+        mats = [_digits(i, q, nn) for i in range(size)]
+
+        def single(t, d):
+            # d at (r, c) times B is d times row c of B, moved to row r
+            r, c = divmod(t, k)
+            dm, units = bmul[d], [q ** (r * k + j) for j in range(k)]
+            return tuple([
+                zero + sum((dm[B[c * k + j]] - bzero) * units[j] for j in range(k))
+                for B in mats
+            ])
+
+        mul = _digit_rows(q, nn, bzero, (zero,) * size, single, partial(_plus_row, add))
+        return add, mul
+
+    def units(self, ring):
+        return _general_linear(self.k, self.base)
+
+    lattice = Field.lattice
+
+    def label(self, ring):
+        return f"M{self.k}({ring_label(self.base)})"
+
+    def element(self, ring, index):
+        k, base = self.k, self.base
+        digits = _digits(index, base.size, k * k)
+        rows = [
+            "[" + ",".join(element_label(base, digits[r * k + c]) for c in range(k)) + "]"
+            for r in range(k)
+        ]
+        return "[" + ",".join(rows) + "]"
+
+    def spec(self, ring):
+        return f"matrix:{self.k}:{format_ring(self.base)}"
 
 
 def _general_linear(k: int, base: FiniteRing) -> frozenset:
@@ -981,10 +1134,6 @@ def _general_linear(k: int, base: FiniteRing) -> frozenset:
     return frozenset([index for index, _, _ in level])
 
 
-_TABLES_OF = {"zmod": _zmod_tables, "gf": _field_tables, "product": _product_tables,
-              "matrix": _matrix_tables}
-
-
 def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: bool = False):
     """Materialize a subset closed under the operations as its own ring.
 
@@ -1008,9 +1157,34 @@ def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: 
         raise ValueError("subring is not closed under + and x") from None
     ring = _from_tables(
         add, mul, local[parent.zero], local[one],
-        ("subring", parent, carrier), allow_trivial=allow_trivial,
+        Subring(parent, carrier), allow_trivial=allow_trivial,
     )
     return ring, carrier
+
+
+@dataclass(frozen=True, eq=False)
+class Subring(Tables):
+    """A subring: element i is carrier[i] of the parent."""
+
+    parent: FiniteRing
+    carrier: tuple
+
+    def label(self, ring):
+        return f"sub[{len(self.carrier)}]({ring_label(self.parent)})"
+
+    def element(self, ring, index):
+        return element_label(self.parent, self.carrier[index])
+
+
+@dataclass(frozen=True, eq=False)
+class Corner(Tables):
+    """A corner ring eSe of the parent S, on carrier (see morphisms._corner)."""
+
+    parent: FiniteRing
+    carrier: tuple
+
+    def label(self, ring):
+        return f"corner[{ring.size}]({ring_label(self.parent)})"
 
 
 # ---------------------------------------------------------------------------
@@ -1141,32 +1315,10 @@ def enumerate_ideals(ring: FiniteRing) -> tuple:
 @per_ring
 def _ideal_lattice(ring: FiniteRing) -> dict:
     """Each two-sided ideal's members, the whole ring's included, mapped to
-    U(R) + I, in enumerate_ideals order.  Z/n, a field, a matrix ring over
-    one (simple, by Wedderburn-Artin) and R1 x R2 give them from the
-    construction (dZ/nZ to the x prime to d; 0 to U(R); I1 x I2 to
-    (U1 + I1) x (U2 + I2)), which poset-search checks by search.  Other
-    rings close their ideals and translate the units by each."""
-    tag, n = ring.provenance[0], ring.size
-    if tag == "zmod":
-        pairs = [(frozenset(range(0, n, d)), _coprime_to(d, n))
-                 for d in range(1, n + 1) if n % d == 0]
-    elif tag in ("gf", "matrix"):
-        pairs = [(frozenset({ring.zero}), ring.unit_indices),
-                 (ring.index_set, ring.index_set)]
-    elif tag == "product":
-        r1, r2 = ring.provenance[1:]
-        n2, lattice2 = r2.size, _ideal_lattice(r2).items()
-        pairs = [(_product_set(i1, i2, n2), _product_set(m1, m2, n2))
-                 for i1, m1 in _ideal_lattice(r1).items() for i2, m2 in lattice2]
-    else:
-        add, pairs = ring.add_table, []
-        for members in _closed_ideals(ring):
-            mset = set()
-            for u in ring.unit_indices:
-                if u not in mset:
-                    row = add[u]
-                    mset.update([row[i] for i in members])
-            pairs.append((members, frozenset(mset)))
+    U(R) + I, in enumerate_ideals order.  The provenance record gives them:
+    Z/n, a field, a matrix ring over one and R1 x R2 from the construction,
+    which poset-search checks by search; other rings by closure."""
+    pairs = ring.provenance.lattice(ring)
     return dict(sorted(pairs, key=lambda im: (len(im[0]), sorted(im[0]))))
 
 
@@ -1265,61 +1417,13 @@ def is_completely_prime(ring: FiniteRing, ideal: Ideal) -> bool:
 
 
 def ring_label(ring: FiniteRing) -> str:
-    prov = ring.provenance
-    tag = prov[0]
-    if tag == "zmod":
-        return f"Z/{prov[1]}"
-    if tag == "gf":
-        return f"GF({prov[1] ** prov[2]})"
-    if tag == "product":
-        return f"{ring_label(prov[1])} x {ring_label(prov[2])}"
-    if tag == "matrix":
-        return f"M{prov[1]}({ring_label(prov[2])})"
-    if tag == "quotient":
-        return f"{ring_label(prov[1])}/({','.join(map(str, prov[2]))})"
-    if tag == "subring":
-        return f"sub[{len(prov[2])}]({ring_label(prov[1])})"
-    if tag == "corner":
-        return f"corner[{ring.size}]({ring_label(prov[1])})"
-    return f"ring{ring.size}"
+    return ring.provenance.label(ring)
 
 
 def element_label(ring: FiniteRing, index: int) -> str:
-    prov = ring.provenance
-    tag = prov[0]
-    if tag == "zmod":
-        return str(index)
-    if tag == "gf":
-        p, k = prov[1], prov[2]
-        if k == 1:
-            return str(index)
-        terms = []
-        for d, c in enumerate(_digits(index, p, k)):
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            elif d == 1:
-                terms.append("x" if c == 1 else f"{c}x")
-            else:
-                terms.append(f"x^{d}" if c == 1 else f"{c}x^{d}")
-        return "+".join(terms) if terms else "0"
-    if tag == "product":
-        n2 = prov[2].size
-        return f"({element_label(prov[1], index // n2)},{element_label(prov[2], index % n2)})"
-    if tag == "matrix":
-        k, base = prov[1], prov[2]
-        digits = _digits(index, base.size, k * k)
-        rows = [
-            "[" + ",".join(element_label(base, digits[r * k + c]) for c in range(k)) + "]"
-            for r in range(k)
-        ]
-        return "[" + ",".join(rows) + "]"
-    if tag == "quotient":
-        base = prov[1]
-        # quotient carrier indices are sorted coset representatives
-        _, reps = coset_reps(base, prov[2])
-        return element_label(base, reps[index])
-    if tag == "subring":
-        return element_label(prov[1], prov[2][index])
-    return str(index)
+    return ring.provenance.element(ring, index)
+
+
+def format_ring(ring: FiniteRing) -> str:
+    """Canonical description; parse_ring(format_ring(r)) rebuilds equal tables."""
+    return ring.provenance.spec(ring)

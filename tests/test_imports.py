@@ -1,8 +1,9 @@
 """Static checks on the package source: every module-level import is used,
 no check lives in an assert statement, which python -O strips, no
 functools cache outlives the rings it was filled from, only the oracle
-searches for morphisms or runs the tensor epimorphism test, and every name
-the package exports has a caller among its programs."""
+searches for morphisms or runs the tensor epimorphism test, every name the
+package exports has a caller among its programs, and no program takes a
+ring's provenance record apart by position."""
 import ast
 from pathlib import Path
 
@@ -158,3 +159,40 @@ def test_every_export_has_a_program_caller():
     uncalled = uncalled_exports((PACKAGE / "__init__.py").read_text(),
                                 [path.read_text() for path in programs])
     assert sorted(set(uncalled) - EXTERNAL_ENTRY_POINTS) == []
+
+
+def provenance_by_position(source: str) -> list:
+    """Line of each place a ring's provenance is subscripted, unpacked,
+    iterated or bound to a name, rather than asked or matched as a record."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.Subscript, ast.Starred, ast.Assign, ast.AnnAssign,
+                          ast.AugAssign, ast.NamedExpr)):
+            read = n.value
+        elif isinstance(n, (ast.For, ast.comprehension)):
+            read = n.iter
+        else:
+            continue
+        if isinstance(read, ast.Attribute) and read.attr == "provenance":
+            found.append(read.lineno)
+    return sorted(found)
+
+
+def test_provenance_by_position_is_found():
+    source = ("tag = r.provenance[0]\nprov = r.provenance\n_, a, b = r.provenance\n"
+              "f(*r.provenance)\nr.provenance.units(r)\nisinstance(r.provenance, P)\n"
+              "match r.provenance:\n    case P(a):\n        pass\n"
+              "[x for x in r.provenance]\n")
+    assert provenance_by_position(source) == [1, 2, 3, 4, 10]
+
+
+def test_provenance_is_a_record_everywhere():
+    # rings.py asks each record what its family knows; elsewhere a record
+    # is only built or tested with isinstance
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for folder in (PACKAGE, ROOT / "tests")
+        for path in sorted(folder.glob("*.py"))
+        for line in provenance_by_position(path.read_text())
+    ]
+    assert found == []

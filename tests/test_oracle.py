@@ -385,7 +385,7 @@ def one_unit_dropped(d, n):
 def one_product_ideal_dropped(ring):
     # the second smallest ideal goes, with its M
     items = list(ideal_lattice(ring).items())
-    return dict(items[:1] + items[2:] if ring.provenance[0] == "product" else items)
+    return dict(items[:1] + items[2:] if isinstance(ring.provenance, rings.Product) else items)
 
 def one_matrix_unit_dropped(k, base):
     units = general_linear(k, base)
@@ -489,15 +489,14 @@ def test_corner_split_builds_each_corner_once(monkeypatch):
     built = []
 
     def counted(size, add, mul, zero, one, provenance):
-        _, parent, carrier = provenance
-        built.append((parent, carrier[one]))
+        built.append((provenance.parent, provenance.carrier[one]))
         return rings.FiniteRing(size, add, mul, zero, one, provenance)
 
     monkeypatch.setattr(morphisms, "FiniteRing", counted)
     (claim,) = verify_theorems(catalog, only="corner-split").claims
     corners = set()
     for prod in catalog.rings:
-        if prod.provenance[0] != "product":
+        if not isinstance(prod.provenance, rings.Product):
             continue
         r1, r2 = rings.product_factors(prod)
         for s in catalog.rings:

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homposet.cli import parse_ring, render_hom_json
+from homposet.cli import format_ring, parse_ring, render_hom_json
 from homposet.config import Caps
 from homposet.errors import (
     BaseNotField,
@@ -16,13 +16,19 @@ from homposet.errors import (
     NotPrime,
     ZeroRingExcluded,
 )
-from homposet.morphisms import enumerate_morphisms
+from homposet.morphisms import decompose_product_morphism, enumerate_morphisms
 from homposet.oracle import build_catalog
 from homposet.poset import hom_poset
 from homposet.rings import (
+    Field,
     FiniteRing,
     Ideal,
+    Matrix,
+    Product,
+    Quotient,
     RingMorphism,
+    Subring,
+    ZMod,
     _Subgroup,
     _digits,
     _is_ideal,
@@ -34,6 +40,7 @@ from homposet.rings import (
     check_table_axioms,
     compose,
     coset_reps,
+    element_label,
     enumerate_ideals,
     ideal_generated_by,
     identity_morphism,
@@ -48,9 +55,11 @@ from homposet.rings import (
     make_product,
     make_quotient,
     make_zmod,
+    product_factors,
     proper_ideals,
     regular_elements,
     ring_from_tables,
+    ring_label,
     subring,
 )
 
@@ -99,11 +108,11 @@ def test_regular_equals_units_in_zmod(ring):
 def test_finite_field_smallest_modulus():
     f4 = make_finite_field(2, 2)
     # x^2 + x + 1: coefficients low degree first, trailing leading 1
-    assert f4.provenance[3] == (1, 1, 1)
+    assert f4.provenance.modulus == (1, 1, 1)
     assert is_field(f4)
     f8 = make_finite_field(2, 3)
     # low-degree-first comparison puts 1 + x^2 + x^3 before 1 + x + x^3
-    assert f8.provenance[3] == (1, 0, 1, 1)
+    assert f8.provenance.modulus == (1, 0, 1, 1)
     assert is_field(f8)
     f9 = make_finite_field(3, 2)
     assert is_field(f9) and f9.additive_orders[f9.one] == 3
@@ -368,24 +377,23 @@ def test_subrings_reject_out_of_range_and_unclosed_members():
 
 
 def regenerate(ring):
-    """Rebuild a ring from its structural provenance."""
-    prov = ring.provenance
-    tag = prov[0]
+    """Rebuild a ring from the fields of its construction record."""
     wide = Caps(table_size=max(Caps().table_size, ring.size))
-    if tag == "zmod":
-        return make_zmod(prov[1], wide)
-    if tag == "gf":
-        return make_finite_field(prov[1], prov[2], wide)
-    if tag == "product":
-        return make_product(prov[1], prov[2], wide)
-    if tag == "matrix":
-        return make_matrix_ring(prov[2], prov[1], wide)
-    if tag == "quotient":
-        q, _ = make_quotient(prov[1], Ideal(prov[1], frozenset(prov[2])))
-        return q
-    if tag == "subring":
-        s, _ = subring(prov[1], prov[2], allow_trivial=True)
-        return s
+    match ring.provenance:
+        case ZMod(n):
+            return make_zmod(n, wide)
+        case Field(p, k):
+            return make_finite_field(p, k, wide)
+        case Product(r1, r2):
+            return make_product(r1, r2, wide)
+        case Matrix(k, base):
+            return make_matrix_ring(base, k, wide)
+        case Quotient(parent, members):
+            q, _ = make_quotient(parent, Ideal(parent, frozenset(members)))
+            return q
+        case Subring(parent, carrier):
+            s, _ = subring(parent, carrier, allow_trivial=True)
+            return s
     return ring
 
 
@@ -414,7 +422,77 @@ def test_equality_ignores_provenance():
     a = make_zmod(4)
     b = make_quotient(make_zmod(8), ideal_generated_by(make_zmod(8), (4,)))[0]
     assert a == b and hash(a) == hash(b)
-    assert a.provenance != b.provenance
+    assert isinstance(a.provenance, ZMod) and isinstance(b.provenance, Quotient)
+
+
+def golden_label_rings():
+    """One ring of each way a ring is built, by name: the descriptions
+    parse_ring reads, a subring, both corners of a split and a table copy."""
+    rings = {spec: parse_ring(spec, Caps()) for spec in (
+        "zmod:6", "gf:2:1", "gf:2:3", "product:zmod:2:gf:2:2", "matrix:2:gf:2:1",
+        "quot:product:zmod:4:zmod:6:gens=2", "quot:quot:zmod:36:gens=6:gens=2")}
+    # upper-triangular matrices: a10, worth 4 in the index, is zero
+    rings["T2"], _ = subring(parse_ring("matrix:2:zmod:2", Caps()), {0, 1, 2, 3, 8, 9, 10, 11})
+    z2z3 = parse_ring("product:zmod:2:zmod:3", Caps())
+    split = decompose_product_morphism(identity_morphism(z2z3))
+    rings["corner1"], rings["corner2"] = split.corner1, split.corner2
+    z6 = rings["zmod:6"]
+    rings["table copy"] = ring_from_tables(z6.add_table, z6.mul_table)
+    return rings
+
+
+GOLDEN_LABELS = {
+    # name: (ring_label, {index: element_label}, format_ring or its ValueError)
+    "zmod:6": ("Z/6", {0: "0", 1: "1", 5: "5"}, "zmod:6"),
+    "gf:2:1": ("GF(2)", {0: "0", 1: "1"}, "gf:2:1"),
+    "gf:2:3": ("GF(8)", {0: "0", 1: "1", 2: "x", 3: "1+x", 6: "x+x^2", 7: "1+x+x^2"},
+               "gf:2:3"),
+    "product:zmod:2:gf:2:2": ("Z/2 x GF(4)",
+                              {0: "(0,0)", 3: "(0,1+x)", 5: "(1,1)", 7: "(1,1+x)"},
+                              "product:zmod:2:gf:2:2"),
+    "matrix:2:gf:2:1": ("M2(GF(2))", {0: "[[0,0],[0,0]]", 1: "[[1,0],[0,0]]",
+                                      6: "[[0,1],[1,0]]", 9: "[[1,0],[0,1]]",
+                                      15: "[[1,1],[1,1]]"}, "matrix:2:gf:2:1"),
+    "quot:product:zmod:4:zmod:6:gens=2": (
+        "Z/4 x Z/6/(0,2,4)", {0: "(0,0)", 1: "(0,1)", 5: "(2,1)", 7: "(3,1)"},
+        "quot:product:zmod:4:zmod:6:gens=0,2,4"),
+    "quot:quot:zmod:36:gens=6:gens=2": (
+        "Z/36/(0,6,12,18,24,30)/(0,2,4)", {0: "0", 1: "1"},
+        "quot:quot:zmod:36:gens=0,6,12,18,24,30:gens=0,2,4"),
+    "T2": ("sub[8](M2(Z/2))", {0: "[[0,0],[0,0]]", 1: "[[1,0],[0,0]]", 3: "[[1,1],[0,0]]",
+                               7: "[[1,1],[0,1]]"},
+           ValueError("ring sub[8](M2(Z/2)) has no description grammar")),
+    "corner1": ("corner[2](Z/2 x Z/3)", {0: "0", 1: "1"},
+                ValueError("ring corner[2](Z/2 x Z/3) has no description grammar")),
+    "corner2": ("corner[3](Z/2 x Z/3)", {0: "0", 1: "1", 2: "2"},
+                ValueError("ring corner[3](Z/2 x Z/3) has no description grammar")),
+    "table copy": ("ring6", {0: "0", 5: "5"},
+                   ValueError("ring ring6 has no description grammar")),
+}
+
+
+def test_golden_labels_per_construction():
+    rings = golden_label_rings()
+    assert rings.keys() == GOLDEN_LABELS.keys()
+    for name, ring in rings.items():
+        label, elements, description = GOLDEN_LABELS[name]
+        assert ring_label(ring) == label, name
+        assert {i: element_label(ring, i) for i in elements} == elements, name
+        if isinstance(description, ValueError):
+            with pytest.raises(ValueError) as raised:
+                format_ring(ring)
+            assert str(raised.value) == str(description), name
+        else:
+            assert format_ring(ring) == description, name
+
+
+def test_quotient_labels_read_the_representatives_of_their_construction(monkeypatch):
+    # make_quotient finds the coset representatives once; labels read them
+    ring = parse_ring("quot:quot:zmod:36:gens=6:gens=2", Caps())
+    calls = []
+    monkeypatch.setattr("homposet.rings.coset_reps", lambda *a: calls.append(a) or coset_reps(*a))
+    assert [element_label(ring, i) for i in range(ring.size)] == ["0", "1"]
+    assert calls == []
 
 
 def test_morphism_validation():
@@ -535,7 +613,7 @@ def test_finite_field_tables_match_schoolbook_product():
         if p**k != q:
             continue
         gf = make_finite_field(p, k, wide)
-        modulus = gf.provenance[3]
+        modulus = gf.provenance.modulus
         polys = [tuple((i // p**j) % p for j in range(k)) for i in range(q)]
         index = {c: i for i, c in enumerate(polys)}
         schoolbook = tuple(
@@ -1085,7 +1163,7 @@ def constructed_rings():
              "product:matrix:2:zmod:2:zmod:3", "matrix:3:zmod:2", "matrix:2:gf:2:2",
              "matrix:2:zmod:5")
     catalog = [r for r in build_catalog(64).rings
-               if r.provenance[0] in ("zmod", "gf", "product", "matrix")]
+               if isinstance(r.provenance, (ZMod, Field, Product, Matrix))]
     return catalog + hom_ladder_rings() + [parse_ring(spec, wide) for spec in specs]
 
 
@@ -1107,11 +1185,13 @@ def test_hom_builds_no_table_of_a_constructed_ring():
                  ":".join(["product:zmod:2"] * 6 + ["zmod:2"])):
         ring = parse_ring(spec, wide)
         render_hom_json(ring, hom_poset(ring), spec)
+        # records compare by identity, so hashing one reads no factor's table
+        hash(ring.provenance)
         factors = [ring]
         for r in factors:
             assert "add_table" not in r.__dict__ and "mul_table" not in r.__dict__, spec
-            if r.provenance[0] == "product":
-                factors.extend(r.provenance[1:])
+            if isinstance(r.provenance, Product):
+                factors.extend(product_factors(r))
     # a read builds both tables, which stay as plain attributes
     assert ring.add_table is ring.__dict__["add_table"]
     assert "mul_table" in ring.__dict__
