@@ -75,10 +75,10 @@ from .rings import (
     Ideal,
     Product,
     RingMorphism,
+    _closed_ideal,
     _is_ideal,
     check_table_axioms,
     compose,
-    ideal_generated_by,
     identity_morphism,
     is_completely_prime,
     is_directly_finite,
@@ -541,7 +541,7 @@ def _claim_join_quotient(ctx):
                 yield
                 union = p.ideal | q.ideal
                 if union not in sums:
-                    summed = ideal_generated_by(r, union)
+                    summed = _closed_ideal(r, union)
                     sums[union] = least_of_fiber(r, summed) if summed.is_proper else None
                 expected = sums[union]
                 j = join_ext(p, q, bar)

@@ -12,11 +12,17 @@ morphisms.decompose_product_morphism) may build it, via _from_tables with
 allow_trivial=True.
 
 A ring's provenance is one record per construction family (ZMod, Field,
-Product, Matrix, Quotient, Subring, Corner; Tables for raw tables), which
-answers what the family knows: tables, units, ideals with U(R) + I, labels
-and description.  Z/n, GF(q), products and matrix rings over a field build
-their tables only when something reads add_table or mul_table; GL_k(F) is
-built from F's tables alone.  Only this module reads a record's fields.
+Product, Matrix, Quotient, ConstructedQuotient, Subring, Corner; Tables for
+raw tables), which answers what the family knows: tables, units, ideals
+with U(R) + I, the ideal a set generates, quotients, labels and
+description.  Z/n, GF(q), products, matrix rings over a field and their
+quotients are Constructed: they build their tables only when something
+reads add_table or mul_table, and GL_k(F) is built from F's tables alone.
+A quotient of a constructed ring is the equivalent construction (Z/n by
+dZ/nZ is Z/d, (R1 x R2)/(I1 x I2) is R1/I1 x R2/I2, a ring by {0} is
+itself), with the element indices the table path gives; quotients of
+table rings gather their rows from the parent's tables.  Only this module
+reads a record's fields.
 """
 from __future__ import annotations
 
@@ -62,7 +68,8 @@ def per_ring(fn):
 @dataclass(frozen=True, eq=False)
 class Tables:
     """How a ring was built: here, from tables alone, so units by a scan,
-    ideals by closure and no description.  Each family's subclass answers
+    ideals by closure, quotients gathered from the tables and no
+    description.  Each family's subclass answers
     what its construction knows, with tables() if built lazily.  eq=False:
     a record never compares or hashes its rings' tables."""
 
@@ -87,6 +94,26 @@ class Tables:
                     mset.update([row[i] for i in members])
             pairs.append((members, frozenset(mset)))
         return pairs
+
+    def ideal(self, ring, gens) -> Ideal:
+        return _closed_ideal(ring, gens)
+
+    def quotient(self, ring, members) -> tuple:
+        """(R/I, projection images), with rows gathered from the tables."""
+        rep, reps = coset_reps(ring, members)
+        # proj[x] is the quotient index of x's coset; a proper ideal leaves at
+        # least two cosets, so each getter below returns a tuple
+        proj = itemgetter(*rep)({r: i for i, r in enumerate(reps)})
+        at_reps = itemgetter(*reps)
+
+        def rows(table):
+            return [itemgetter(*at_reps(table[r]))(proj) for r in reps]
+
+        quotient = _from_tables(
+            rows(ring.add_table), rows(ring.mul_table), proj[ring.zero], proj[ring.one],
+            Quotient(ring, tuple(sorted(members)), reps),
+        )
+        return quotient, proj
 
     def label(self, ring) -> str:
         return f"ring{ring.size}"
@@ -228,6 +255,30 @@ class _Table:
 # set after @dataclass has made the fields, whose __init__ puts the tables
 # in the instance __dict__; a __getattr__ would slow every attribute read
 FiniteRing.add_table, FiniteRing.mul_table = _Table("add_table"), _Table("mul_table")
+
+
+@dataclass(frozen=True, eq=False)
+class Constructed(Tables):
+    """A family that knows its ideals and quotients: tables() builds the
+    tables on first read, the ideal a set generates is read off the
+    lattice, and a quotient is again a constructed ring, with the indices
+    the table path would give it.  A subclass with proper nonzero ideals
+    answers divide(ring, members) with (R/I as a constructed ring,
+    projection images, least member of each coset)."""
+
+    def ideal(self, ring, gens) -> Ideal:
+        # the lattice is sorted by size, so the first entry holding gens
+        # is the least ideal holding them: it lies in every other one
+        return Ideal._trusted(ring, next(m for m in _ideal_lattice(ring) if m.issuperset(gens)))
+
+    def quotient(self, ring, members) -> tuple:
+        if len(members) == 1:  # R/{0} is R
+            model = ring
+            proj = reps = tuple(range(ring.size))
+        else:
+            model, proj, reps = self.divide(ring, members)
+        record = ConstructedQuotient(ring, tuple(sorted(members)), reps, model)
+        return FiniteRing._constructed(model.size, model.zero, model.one, record), proj
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +673,7 @@ def make_zmod(n: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 
 
 @dataclass(frozen=True, eq=False)
-class ZMod(Tables):
+class ZMod(Constructed):
     """Z/n: units prime to n, ideals dZ/nZ (d | n), U + dZ/nZ prime to d."""
 
     n: int
@@ -652,6 +703,13 @@ class ZMod(Tables):
 
     def units(self, ring):
         return _coprime_to(self.n, self.n)
+
+    def divide(self, ring, members):
+        """Z/n by dZ/nZ is Z/d, x going to x mod d."""
+        n = self.n
+        d = n // len(members)
+        reps = tuple(range(d))
+        return FiniteRing._constructed(d, 0, 1, ZMod(d)), reps * (n // d), reps
 
     def lattice(self, ring):
         n = self.n
@@ -832,7 +890,7 @@ def make_finite_field(p: int, k: int, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
 
 
 @dataclass(frozen=True, eq=False)
-class Field(Tables):
+class Field(Constructed):
     """GF(p**k) as Z/p[x] modulo `modulus`: units all but 0, two ideals."""
 
     p: int
@@ -900,16 +958,20 @@ def make_product(r1: FiniteRing, r2: FiniteRing, caps: Caps = DEFAULT_CAPS) -> F
     """Componentwise ring on the cartesian carrier; index (a, b) = a*|R2| + b."""
     if r1.size < 2 or r2.size < 2:
         raise ZeroRingExcluded("product factors must have 1 != 0")
-    n2 = r2.size
-    size = r1.size * n2
+    size = r1.size * r2.size
     if size > caps.table_size:
         raise CapExceeded(f"{size} > table cap {caps.table_size}")
-    return FiniteRing._constructed(size, r1.zero * n2 + r2.zero, r1.one * n2 + r2.one,
-                                   Product(r1, r2))
+    return _product(r1, r2)
+
+
+def _product(r1: FiniteRing, r2: FiniteRing) -> FiniteRing:
+    n2 = r2.size
+    return FiniteRing._constructed(r1.size * n2, r1.zero * n2 + r2.zero,
+                                   r1.one * n2 + r2.one, Product(r1, r2))
 
 
 @dataclass(frozen=True, eq=False)
-class Product(Tables):
+class Product(Constructed):
     """R1 x R2 from its factors: units U1 x U2, ideals I1 x I2, with
     U + I1 x I2 = (U1 + I1) x (U2 + I2)."""
 
@@ -943,6 +1005,20 @@ class Product(Tables):
         return [(_product_set(i1, i2, n2), _product_set(m1, m2, n2))
                 for i1, m1 in _ideal_lattice(self.r1).items() for i2, m2 in lattice2]
 
+    def divide(self, ring, members):
+        """(R1 x R2)/(I1 x I2) is R1/I1 x R2/I2, or one factor's quotient
+        alone when the other Ij is its whole factor.  The least member of a
+        coset (a, b) + I is the pair of the least members of a + I1 and
+        b + I2, so the quotient's indices are pairs of the factors'."""
+        n2 = self.r2.size
+        (q1, p1, reps1), (q2, p2, reps2) = (
+            _divided(self.r1, {x // n2 for x in members}),
+            _divided(self.r2, {x % n2 for x in members}))
+        model = q1 if q2 is None else q2 if q1 is None else _product(q1, q2)
+        m2 = 1 if q2 is None else q2.size
+        return (model, tuple(_pair_indices(p1, p2, m2)),
+                tuple(_pair_indices(reps1, reps2, n2)))
+
     def label(self, ring):
         return f"{ring_label(self.r1)} x {ring_label(self.r2)}"
 
@@ -954,14 +1030,36 @@ class Product(Tables):
         return f"product:{format_ring(self.r1)}:{format_ring(self.r2)}"
 
 
+def _pair_indices(s1, s2, n2: int) -> list:
+    """The indices a*n2 + b of the pairs (a, b) in s1 x s2, a first."""
+    return [a + b for a in [a * n2 for a in s1] for b in s2]
+
+
 def _product_set(s1, s2, n2: int) -> frozenset:
-    """The indices a*n2 + b of the pairs (a, b) in s1 x s2."""
-    return frozenset([a + b for a in [a * n2 for a in s1] for b in s2])
+    return frozenset(_pair_indices(s1, s2, n2))
+
+
+def _divided(r: FiniteRing, members) -> tuple:
+    """(R/I, projection images, least member of each coset).  I = R, which
+    drops a product factor, gives no ring, every x sent to 0, and 0 the
+    least member of the one coset."""
+    if len(members) == r.size:
+        return None, (0,) * r.size, (0,)
+    q, proj = r.provenance.quotient(r, members)
+    return q, proj, q.provenance.reps
 
 
 def _coprime_to(d: int, n: int) -> frozenset:
-    """The x in 0..n-1 prime to d: U(Z/n) + dZ/nZ for d | n."""
-    return frozenset(x for x in range(n) if math.gcd(x, d) == 1)
+    """The x in 0..n-1 prime to d: U(Z/n) + dZ/nZ for d | n.  A sieve
+    strikes the multiples of each prime divisor of d."""
+    keep = bytearray(b"\x01") * n
+    p, rest = 2, d
+    while rest > 1:
+        p = _least_factor(rest, p)
+        keep[::p] = bytes(len(range(0, n, p)))
+        while rest % p == 0:
+            rest //= p
+    return frozenset(itertools.compress(range(n), keep))
 
 
 def product_factors(ring: FiniteRing):
@@ -994,25 +1092,14 @@ def make_quotient(ring: FiniteRing, ideal: Ideal):
 
     Coset representatives are the least member indices; quotient elements
     are those representatives sorted, so the construction is deterministic.
+    A constructed ring's quotient comes from its construction, with those
+    indices (Constructed.quotient); any other ring's from its tables.
     """
     if ideal.ring != ring:
         raise RingMismatch("ideal lives over a different ring")
     if not ideal.is_proper:
         raise ImproperIdeal("cannot quotient by the whole ring")
-    members = ideal.members
-    rep, reps = coset_reps(ring, members)
-    # proj[x] is the quotient index of x's coset; a proper ideal leaves at
-    # least two cosets, so each getter below returns a tuple
-    proj = itemgetter(*rep)({r: i for i, r in enumerate(reps)})
-    at_reps = itemgetter(*reps)
-
-    def rows(table):
-        return [itemgetter(*at_reps(table[r]))(proj) for r in reps]
-
-    quotient = _from_tables(
-        rows(ring.add_table), rows(ring.mul_table), proj[ring.zero], proj[ring.one],
-        Quotient(ring, tuple(sorted(members)), reps),
-    )
+    quotient, proj = ring.provenance.quotient(ring, ideal.members)
     return quotient, RingMorphism._trusted(ring, quotient, proj)
 
 
@@ -1034,6 +1121,26 @@ class Quotient(Tables):
         return f"quot:{format_ring(self.parent)}:gens={','.join(map(str, self.members))}"
 
 
+@dataclass(frozen=True, eq=False)
+class ConstructedQuotient(Quotient, Constructed):
+    """R/I for a constructed R: labels as any quotient's, while model, a
+    ring with the same tables and indices, answers the rest."""
+
+    model: FiniteRing
+
+    def tables(self):
+        return self.model.add_table, self.model.mul_table
+
+    def units(self, ring):
+        return self.model.unit_indices
+
+    def lattice(self, ring):
+        return _ideal_lattice(self.model).items()
+
+    def divide(self, ring, members):
+        return _divided(self.model, members)
+
+
 def is_field(ring: FiniteRing) -> bool:
     return ring.is_commutative and len(ring.unit_indices) == ring.size - 1
 
@@ -1053,7 +1160,7 @@ def make_matrix_ring(base: FiniteRing, k: int, caps: Caps = DEFAULT_CAPS) -> Fin
 
 
 @dataclass(frozen=True, eq=False)
-class Matrix(Tables):
+class Matrix(Constructed):
     """M_k(F) over a field, row-major base-q digits: GL_k(F), two ideals."""
 
     k: int
@@ -1297,10 +1404,17 @@ class _Subgroup:
 
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
-    """Least two-sided ideal containing gens, by coset-extension closure."""
+    """Least two-sided ideal containing gens: read off the lattice of a
+    constructed ring, closed over the tables of any other."""
     gens = tuple(gens)
     if any(not 0 <= g < ring.size for g in gens):
         raise ValueError("generator index out of range")
+    return ring.provenance.ideal(ring, gens)
+
+
+def _closed_ideal(ring: FiniteRing, gens) -> Ideal:
+    """Least two-sided ideal containing gens, by coset-extension closure
+    over the tables, whatever the ring's construction."""
     sub = _Subgroup(ring)
     sub.close(gens, ring.generators, ring.generators)
     return Ideal._trusted(ring, sub.elems)
@@ -1316,8 +1430,9 @@ def enumerate_ideals(ring: FiniteRing) -> tuple:
 def _ideal_lattice(ring: FiniteRing) -> dict:
     """Each two-sided ideal's members, the whole ring's included, mapped to
     U(R) + I, in enumerate_ideals order.  The provenance record gives them:
-    Z/n, a field, a matrix ring over one and R1 x R2 from the construction,
-    which poset-search checks by search; other rings by closure."""
+    Z/n, a field, a matrix ring over one, R1 x R2 and quotients of these
+    from the construction, which poset-search checks by search; other rings
+    by closure."""
     pairs = ring.provenance.lattice(ring)
     return dict(sorted(pairs, key=lambda im: (len(im[0]), sorted(im[0]))))
 

@@ -367,9 +367,9 @@ def test_faults_are_caught_under_python_O():
     }
 
 
-# Faults in what Z/n, products and matrix rings know of themselves, injected
-# before each catalog is built, so that no ring has read the sound fact
-# already.
+# Faults in what Z/n, products, matrix rings and quotients of them know of
+# themselves, injected before each catalog is built, so that no ring has
+# read the sound fact already.
 CONSTRUCTION_FAULT_RUN = """
 import json, sys
 from homposet import poset, rings
@@ -377,6 +377,7 @@ from homposet.oracle import build_catalog, verify_theorems
 
 coprime_to, ideal_lattice = rings._coprime_to, rings._ideal_lattice
 general_linear = rings._general_linear
+quotient_units, zmod_divide = rings.ConstructedQuotient.units, rings.ZMod.divide
 
 def one_unit_dropped(d, n):
     # Z/2 keeps its unit: the catalog's matrix ring needs a field base
@@ -391,17 +392,32 @@ def one_matrix_unit_dropped(k, base):
     units = general_linear(k, base)
     return units - {max(units)}
 
+def one_quotient_unit_dropped(record, ring):
+    units = quotient_units(record, ring)
+    return units - {max(units)} if len(units) > 1 else units
+
+def zmod_modulus_doubled(record, ring, members):
+    # Z/n by dZ/nZ taken as Z/2d where 2d is a proper divisor of n.  The
+    # catalog drops such a quotient as a copy of Z/2d, but products and
+    # meet-product divide Z/n too
+    n, d = record.n, record.n // len(members)
+    if n % (2 * d) == 0 and 2 * d < n:
+        members = frozenset(range(0, n, 2 * d))
+    return zmod_divide(record, ring, members)
+
 witnesses = {}
 # poset reads the lattice under its own name
-for key, modules, name, faulty in (
+for key, owners, name, faulty in (
         ("regular-units", (rings,), "_coprime_to", one_unit_dropped),
         ("poset-search", (rings, poset), "_ideal_lattice", one_product_ideal_dropped),
-        ("regular-units", (rings,), "_general_linear", one_matrix_unit_dropped)):
-    kept = getattr(rings, name)
-    for m in modules:
+        ("regular-units", (rings,), "_general_linear", one_matrix_unit_dropped),
+        ("regular-units", (rings.ConstructedQuotient,), "units", one_quotient_unit_dropped),
+        ("meet-product", (rings.ZMod,), "divide", zmod_modulus_doubled)):
+    kept = getattr(owners[0], name)
+    for m in owners:
         setattr(m, name, faulty)
     (claim,) = verify_theorems(build_catalog(16), only=key).claims
-    for m in modules:
+    for m in owners:
         setattr(m, name, kept)
     witnesses[faulty.__name__] = [key, claim.witness]
 print(json.dumps({"optimize": sys.flags.optimize, "witnesses": witnesses}))
@@ -409,9 +425,11 @@ print(json.dumps({"optimize": sys.flags.optimize, "witnesses": witnesses}))
 
 
 def test_construction_faults_are_caught_with_and_without_python_O():
-    # the units of Z/n and of a matrix ring and the ideals of a product come
-    # from their construction; regular-units scans the tables and
-    # poset-search searches morphisms, so each catches a fault in them
+    # the units of Z/n, of a matrix ring and of a quotient, the ideals of a
+    # product and the quotients of Z/n come from their construction;
+    # regular-units scans the tables, poset-search searches morphisms and
+    # meet-product checks the kernel of a map into a product of quotients,
+    # so each catches a fault in them
     plain, optimized = (_fault_run(CONSTRUCTION_FAULT_RUN, *flags) for flags in ((), ("-O",)))
     assert (plain.pop("optimize"), optimized.pop("optimize")) == (0, 1)
     assert optimized == plain == {"witnesses": {
@@ -420,6 +438,10 @@ def test_construction_faults_are_caught_with_and_without_python_O():
             ["poset-search", "Z/2 x Z/2: missing pair with ideal [0, 1]"],
         "one_matrix_unit_dropped":
             ["regular-units", "M2(Z/2): regular set differs from unit group"],
+        "one_quotient_unit_dropped":
+            ["regular-units", "Z/3 x Z/4/(0,2): regular set differs from unit group"],
+        "zmod_modulus_doubled":
+            ["meet-product", "product morphism over Z/8 realizes a different meet"],
     }}
 
 
@@ -522,8 +544,10 @@ def test_corner_split_reports_a_faulty_rebuild(monkeypatch):
 def test_join_quotient_closes_each_union_once(monkeypatch):
     catalog = build_catalog(16)
     closed = []
-    generate = oracle.ideal_generated_by
-    monkeypatch.setattr(oracle, "ideal_generated_by", lambda ring, gens: (
+    # the sum is closed over the tables, also on a constructed ring, so
+    # the claim checks the lattice the construction gives
+    generate = oracle._closed_ideal
+    monkeypatch.setattr(oracle, "_closed_ideal", lambda ring, gens: (
         closed.append((ring, frozenset(gens))) or generate(ring, gens)))
     (claim,) = verify_theorems(catalog, only="join-quotient").claims
     unions = {(r, p.ideal | q.ideal) for r in catalog.rings

@@ -20,6 +20,7 @@ from homposet.morphisms import decompose_product_morphism, enumerate_morphisms
 from homposet.oracle import build_catalog
 from homposet.poset import hom_poset
 from homposet.rings import (
+    ConstructedQuotient,
     Field,
     FiniteRing,
     Ideal,
@@ -30,7 +31,9 @@ from homposet.rings import (
     Subring,
     ZMod,
     _Subgroup,
+    _coprime_to,
     _digits,
+    _ideal_lattice,
     _is_ideal,
     _is_submonoid,
     _poly_divides,
@@ -97,6 +100,15 @@ def test_zmod_satisfies_axioms(ring):
 def test_units_are_exactly_coprime_residues(ring):
     n = ring.size
     assert ring.unit_indices == frozenset(x for x in range(n) if math.gcd(x, n) == 1)
+
+
+def test_coprime_to_matches_gcd_definition():
+    # gcd(x, d) is gcd(x mod d, d), so the residues prime to d repeat
+    for d in range(1, 2049):
+        prime = [math.gcd(x, d) == 1 for x in range(d)]
+        for n in range(d, 2049, d):
+            assert _coprime_to(d, n) == frozenset(
+                itertools.compress(range(n), prime * (n // d))), (d, n)
 
 
 @settings(deadline=None)
@@ -1180,18 +1192,21 @@ def test_construction_agrees_with_closure_and_table_scan():
 
 
 def test_hom_builds_no_table_of_a_constructed_ring():
-    wide = Caps(table_size=128)
+    wide = Caps(table_size=256)
     for spec in ("zmod:128", "gf:2:7", "matrix:2:zmod:3",
-                 ":".join(["product:zmod:2"] * 6 + ["zmod:2"])):
+                 ":".join(["product:zmod:2"] * 6 + ["zmod:2"]),
+                 "quot:zmod:256:gens=64", "quot:product:zmod:8:zmod:16:gens=2"):
         ring = parse_ring(spec, wide)
         render_hom_json(ring, hom_poset(ring), spec)
         # records compare by identity, so hashing one reads no factor's table
         hash(ring.provenance)
-        factors = [ring]
-        for r in factors:
+        parts = [ring]
+        for r in parts:
             assert "add_table" not in r.__dict__ and "mul_table" not in r.__dict__, spec
             if isinstance(r.provenance, Product):
-                factors.extend(product_factors(r))
+                parts.extend(product_factors(r))
+            if isinstance(r.provenance, ConstructedQuotient):
+                parts.extend((r.provenance.parent, r.provenance.model))
     # a read builds both tables, which stay as plain attributes
     assert ring.add_table is ring.__dict__["add_table"]
     assert "mul_table" in ring.__dict__
@@ -1392,6 +1407,63 @@ def test_quotient_tables_match_reference():
             assert (q.add_table, q.mul_table, q.zero, q.one, pi.images) == (
                 reference_make_quotient(ring, ideal)), (ring, ideal)
             assert pi.source is ring and pi.target is q
+
+
+def quotient_parents():
+    """Constructed rings whose every proper quotient comes from its
+    construction: Z/n, two-factor products over small rings (one over a
+    table ring among them), a field and a matrix ring over one, each
+    simple, and a quotient of a quotient."""
+    wide = Caps(table_size=64)
+    factors = [make_zmod(n) for n in (2, 3, 4, 6, 8, 9)] + [
+        make_finite_field(2, 2), make_matrix_ring(make_zmod(2), 2)]
+    z4 = make_zmod(4)
+    factors.append(ring_from_tables(z4.add_table, z4.mul_table))
+    return ([make_zmod(n) for n in range(2, 65)]
+            + [make_product(r1, r2, wide) for r1 in factors for r2 in factors
+               if r1.size * r2.size <= 64]
+            + [make_finite_field(p, k, wide) for p, k in ((2, 1), (2, 3), (3, 2), (2, 6))]
+            + [make_matrix_ring(f, 2, wide) for f in (make_zmod(2),)]
+            + [parse_ring("matrix:2:zmod:3", Caps(table_size=81)),
+               parse_ring("quot:zmod:36:gens=6", Caps())])
+
+
+def description_or_error(ring) -> str:
+    try:
+        return format_ring(ring)
+    except ValueError as err:
+        return str(err)
+
+
+def test_constructed_quotient_agrees_with_the_table_path():
+    for ring in quotient_parents():
+        # the same tables with no construction behind them
+        raw = FiniteRing(ring.size, ring.add_table, ring.mul_table, ring.zero, ring.one)
+        for ideal in proper_ideals(ring):
+            members = ideal.members
+            q, pi = make_quotient(ring, ideal)
+            t, tpi = make_quotient(raw, Ideal(raw, members))
+            assert isinstance(q.provenance, ConstructedQuotient), (ring, ideal)
+            assert isinstance(t.provenance, Quotient) and not isinstance(
+                t.provenance, ConstructedQuotient)
+            assert pi.source is ring and pi.target is q
+            reference = reference_make_quotient(ring, ideal)
+            assert (q.add_table, q.mul_table, q.zero, q.one, pi.images) == reference, (ring, ideal)
+            assert (t.add_table, t.mul_table, t.zero, t.one, tpi.images) == reference
+            assert q.unit_indices == t.unit_indices, (ring, ideal)
+            assert list(_ideal_lattice(q).items()) == list(_ideal_lattice(t).items()), (ring, ideal)
+            for bar in (False, True):
+                assert hom_poset(q, bar).covers == hom_poset(t, bar).covers, (ring, ideal)
+            gens = ",".join(map(str, sorted(members)))
+            reps = coset_reps(ring, members)[1]
+            assert ring_label(q) == f"{ring_label(ring)}/({gens})"
+            assert [element_label(q, i) for i in range(q.size)] == [
+                element_label(ring, r) for r in reps]
+            try:
+                spec = f"quot:{format_ring(ring)}:gens={gens}"
+            except ValueError as err:  # over the table ring
+                spec = str(err)
+            assert description_or_error(q) == spec, (ring, ideal)
 
 
 def test_unit_indices_match_pairwise_definition():
