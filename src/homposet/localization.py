@@ -109,24 +109,18 @@ class Factorization:
 def canonical_factorization(f: RingMorphism) -> Factorization:
     """Split f through its pair's localization and its image subring.
 
-    The kernel is an ideal, so it is not checked again.  collapse sends the
-    class of x to f(x) in the image, well defined because the kernel is f's,
-    and embed is the inclusion of a subring, so both are morphisms because f
-    is and are built without a check.  The oracle claim factor-stages runs
-    the check.
+    The kernel is an ideal, so it is not checked again.  collapse is the
+    corestriction of f onto its image factored through the projection: it
+    sends the class of x to f(x), well defined because the kernel is f's.
+    embed is the inclusion of a subring.  Both are morphisms because f is
+    and are built without a check.  The oracle claim factor-stages runs the
+    check.
     """
     quotient, start = make_quotient(f.source, Ideal._trusted(f.source, f.kernel_members))
-    invert = identity_morphism(quotient)
-    image_ring, carrier = subring(f.target, f.image_members)
-    local = {x: i for i, x in enumerate(carrier)}
-    # images of quotient elements: push any representative through f
-    collapse_images = [None] * quotient.size
-    for q, y in zip(start.images, f.images):
-        collapse_images[q] = local[y]
-    collapse = RingMorphism._trusted(quotient, image_ring, collapse_images)
-    embed = RingMorphism._trusted(image_ring, f.target, carrier)
-    return Factorization(f, quotient, start, invert, image_ring, carrier,
-                         collapse, embed)
+    co = epimorphic_corestriction(f)
+    embed = RingMorphism._trusted(co.image_ring, f.target, co.image_carrier)
+    return Factorization(f, quotient, start, identity_morphism(quotient), co.image_ring,
+                         co.image_carrier, factor_through(start, co.corestriction), embed)
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,18 @@ from .abelian import cokernel_invariants, group_presentation
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, NotComposable
 from .rings import (
-    Corner,
     FiniteRing,
     Ideal,
     RingMorphism,
     _preserves,
     _Subgroup,
     compose,
+    corner_ring,
     coset_reps,
     identity_morphism,
     make_quotient,
     per_ring,
     product_factors,
-    subring,
 )
 
 
@@ -217,37 +216,22 @@ class ProductDecomposition:
     to_corner2: RingMorphism
 
 
-@per_ring
-def _corner(parent: FiniteRing, e: int):
-    """The corner ring e.S.e on its members, built once per idempotent of S."""
-    if e == parent.one:
-        # 1.S.1 is S: share its tables rather than keep a copy on S
-        ring, carrier = parent, tuple(range(parent.size))
-    else:
-        mul = parent.mul_table
-        members = sorted({mul[mul[e][x]][e] for x in range(parent.size)})
-        ring, carrier = subring(parent, members, one=e, allow_trivial=True)
-    ring = FiniteRing(ring.size, ring.add_table, ring.mul_table, ring.zero,
-                      ring.one, Corner(parent, carrier))
-    return ring, carrier
-
-
 def decompose_product_morphism(f: RingMorphism) -> ProductDecomposition:
     """Split a morphism out of a product ring through its corner rings."""
-    src = f.source
-    r1, r2 = product_factors(src)  # raises NotAProduct
+    r1, r2 = product_factors(f.source)  # raises NotAProduct
     n2 = r2.size
     e = f.images[r1.one * n2 + r2.zero]
-    one_minus_e = f.target.sub(f.target.one, e)
-    c1, members1 = _corner(f.target, e)
-    c2, members2 = _corner(f.target, one_minus_e)
+    c1, members1 = corner_ring(f.target, e)
+    c2, members2 = corner_ring(f.target, f.target.sub(f.target.one, e))
     loc1 = {x: i for i, x in enumerate(members1)}
     loc2 = {x: i for i, x in enumerate(members2)}
     img1 = tuple(loc1[f.images[a * n2 + r2.zero]] for a in range(r1.size))
     img2 = tuple(loc2[f.images[r1.zero * n2 + b]] for b in range(n2))
-    g1 = RingMorphism(r1, c1, img1)
-    g2 = RingMorphism(r2, c2, img2)
-    return ProductDecomposition(f, e, c1, c2, tuple(members1), tuple(members2), g1, g2)
+    # r -> f(r, 0) is a unital morphism into eSe, and likewise for r2, so
+    # both are built unchecked; the corner-split claim checks them
+    g1 = RingMorphism._trusted(r1, c1, img1)
+    g2 = RingMorphism._trusted(r2, c2, img2)
+    return ProductDecomposition(f, e, c1, c2, members1, members2, g1, g2)
 
 
 def rebuild_product_morphism(dec: ProductDecomposition) -> RingMorphism:
@@ -311,9 +295,12 @@ def denominator_analysis(ring: FiniteRing, tset) -> DenominatorReport:
     ass(T) = elements annihilated on the left by some t in T.  Over a finite
     ring a left denominator set localizes to R/ass(T): every t becomes
     invertible there because its class is regular, hence a unit (the oracle
-    claim fraction-pairs checks it).
+    claim fraction-pairs checks it).  Raises ValueError for a member of T
+    outside the ring's indices.
     """
     members = frozenset(tset)
+    if not members <= ring.index_set:
+        raise ValueError("denominator set member out of range")
     mul = ring.mul_table
     zero = ring.zero
     n = ring.size

@@ -21,11 +21,12 @@ distinct (ring, pair) once, functor-laws pulls back along each morphism
 once, join-quotient closes each union of two ideals once, local-criterion
 checks each source's radical once, and bar-lattice evaluates meet and join
 once per ordered pair of its completed poset, for that poset's checks.
-Counts and witnesses still go per morphism or per pair of pairs.  The only
-memos that outlive a claim are the corner ring of each idempotent
-(morphisms._corner), kept on its target ring, so it dies with that ring,
-and the battery's table of each catalog pair's morphisms, which dies with
-the run.
+Counts and witnesses still go per morphism or per pair of pairs.  The
+library's per-ring memos outlive a claim, kept on catalog rings for the
+whole run: _morphisms_cached, _chain, enumerate_ideals, _ideal_lattice,
+_posets, _complete_primes, jacobson_radical and rings.corner_ring, the
+corner ring of each idempotent.  So does the battery's table of each
+catalog pair's morphisms.
 """
 from __future__ import annotations
 
@@ -180,14 +181,11 @@ class _Ctx:
     def __init__(self, catalog: Catalog, caps: Caps):
         self.catalog = catalog
         self.caps = caps
+        self.rings = catalog.rings
         # catalog rings live as long as the context, so no other object
         # holds one of their ids meanwhile
         self._position = {id(r): i for i, r in enumerate(catalog.rings)}
         self._homs = [[None] * len(catalog.rings) for _ in catalog.rings]
-
-    @cached_property
-    def rings(self):
-        return self.catalog.rings
 
     @cached_property
     def small_rings(self):
@@ -376,6 +374,10 @@ def _claim_corner_split(ctx):
             for f in ctx.morphisms(prod, s):
                 yield
                 dec = decompose_product_morphism(f)
+                for side, g in ((1, dec.to_corner1), (2, dec.to_corner2)):
+                    problem = _morphism_problem(g)
+                    if problem:
+                        return f"split map {side} of {f!r} is not a morphism: {problem}"
                 if rebuild_product_morphism(dec) != f:
                     return f"corner rebuild differs from {f!r}"
                 e = dec.idempotent
@@ -611,7 +613,8 @@ def _claim_universal_factor(ctx):
 
 def _morphism_problem(g):
     """Why g fails the checked RingMorphism constructor, or None.  The
-    localization module builds its maps unchecked; this is their check."""
+    localization module and the product split build their maps unchecked;
+    this is their check."""
     try:
         RingMorphism(g.source, g.target, g.images)
     except ValueError as e:

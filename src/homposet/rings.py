@@ -7,9 +7,8 @@ zero/one), never at provenance: two constructions that produce identical
 tables are the same ring for every purpose downstream.
 
 Elements are plain ints.  All rings here have 1 != 0.  The one-element ring is
-rejected by every public constructor; only corner extraction (see
-morphisms.decompose_product_morphism) may build it, via _from_tables with
-allow_trivial=True.
+rejected by every public constructor; only corner_ring builds it, for a
+product morphism that kills a factor (morphisms.decompose_product_morphism).
 
 A ring's provenance is one record per construction family (ZMod, Field,
 Product, Matrix, Quotient, ConstructedQuotient, Subring, Corner; Tables for
@@ -20,8 +19,9 @@ quotients are Constructed: they build their tables only when something
 reads add_table or mul_table, and GL_k(F) is built from F's tables alone.
 A quotient of a constructed ring is the equivalent construction (Z/n by
 dZ/nZ is Z/d, (R1 x R2)/(I1 x I2) is R1/I1 x R2/I2, a ring by {0} is
-itself), with the element indices the table path gives; quotients of
-table rings gather their rows from the parent's tables.  Only this module
+itself), with the element indices the table path gives.  Subrings,
+corners and quotients of table rings gather their rows from the parent's
+tables through one routine, _gather.  Only this module builds rings and
 reads a record's fields.
 """
 from __future__ import annotations
@@ -101,19 +101,10 @@ class Tables:
     def quotient(self, ring, members) -> tuple:
         """(R/I, projection images), with rows gathered from the tables."""
         rep, reps = coset_reps(ring, members)
-        # proj[x] is the quotient index of x's coset; a proper ideal leaves at
-        # least two cosets, so each getter below returns a tuple
+        # proj[x] is the quotient index of x's coset
         proj = itemgetter(*rep)({r: i for i, r in enumerate(reps)})
-        at_reps = itemgetter(*reps)
-
-        def rows(table):
-            return [itemgetter(*at_reps(table[r]))(proj) for r in reps]
-
-        quotient = _from_tables(
-            rows(ring.add_table), rows(ring.mul_table), proj[ring.zero], proj[ring.one],
-            Quotient(ring, tuple(sorted(members)), reps),
-        )
-        return quotient, proj
+        record = Quotient(ring, tuple(sorted(members)), reps)
+        return _gather(ring, reps, proj, ring.one, record), proj
 
     def label(self, ring) -> str:
         return f"ring{ring.size}"
@@ -521,13 +512,6 @@ def _freeze(table) -> tuple:
     return tuple(map(tuple, table))
 
 
-def _from_tables(add, mul, zero, one, provenance, allow_trivial=False) -> FiniteRing:
-    size = len(add)
-    if size < 2 and not allow_trivial:
-        raise ZeroRingExcluded("rings here have 1 != 0")
-    return FiniteRing(size, _freeze(add), _freeze(mul), zero, one, provenance)
-
-
 def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     """Build a ring from raw tables, deriving zero and one.
 
@@ -543,7 +527,9 @@ def ring_from_tables(add, mul, caps: Caps = DEFAULT_CAPS) -> FiniteRing:
     one = _find_identity(mul_t, size)
     if zero is None or one is None:
         raise ValueError("tables have no additive or multiplicative identity")
-    ring = _from_tables(add_t, mul_t, zero, one, Tables())
+    if size < 2:
+        raise ZeroRingExcluded("rings here have 1 != 0")
+    ring = FiniteRing(size, add_t, mul_t, zero, one)
     problems = check_table_axioms(ring)
     if problems:
         raise ValueError("; ".join(problems[:3]))
@@ -1241,31 +1227,39 @@ def _general_linear(k: int, base: FiniteRing) -> frozenset:
     return frozenset([index for index, _, _ in level])
 
 
-def subring(parent: FiniteRing, members, one: int | None = None, allow_trivial: bool = False):
+def _gather(parent: FiniteRing, carrier, relabel, one: int, provenance) -> FiniteRing:
+    """The ring on carrier, two or more parent indices (so that each
+    itemgetter returns a tuple), with the parent's tables there read back
+    through relabel, as are its zero and `one`: an index's position in
+    carrier (a subring or corner; KeyError when not closed) or its coset."""
+    at = itemgetter(*carrier)
+
+    def rows(table):
+        return tuple([itemgetter(*at(table[a]))(relabel) for a in carrier])
+
+    return FiniteRing(len(carrier), rows(parent.add_table), rows(parent.mul_table),
+                      relabel[parent.zero], relabel[one], provenance)
+
+
+def subring(parent: FiniteRing, members):
     """Materialize a subset closed under the operations as its own ring.
 
     Returns (ring, carrier) where carrier[i] is the parent index of local
-    element i.  one defaults to the parent identity; corner rings pass their
-    idempotent instead.  Raises ValueError for a member outside the parent's
-    indices or a set not closed under + and x.
+    element i.  Raises ValueError for a member outside the parent's indices,
+    a set without the parent's 0 and 1, or one not closed under + and x.
     """
     carrier = tuple(sorted(set(members)))
     if not parent.index_set.issuperset(carrier):
         raise ValueError("subring member out of range")
     local = {x: i for i, x in enumerate(carrier)}
-    if one is None:
-        one = parent.one
-    if parent.zero not in local or one not in local:
+    if parent.zero not in local or parent.one not in local:
         raise ValueError("subring must contain its zero and identity")
+    if len(carrier) < 2:
+        raise ZeroRingExcluded("rings here have 1 != 0")
     try:
-        add = [[local[parent.add_table[a][b]] for b in carrier] for a in carrier]
-        mul = [[local[parent.mul_table[a][b]] for b in carrier] for a in carrier]
+        ring = _gather(parent, carrier, local, parent.one, Subring(parent, carrier))
     except KeyError:
         raise ValueError("subring is not closed under + and x") from None
-    ring = _from_tables(
-        add, mul, local[parent.zero], local[one],
-        Subring(parent, carrier), allow_trivial=allow_trivial,
-    )
     return ring, carrier
 
 
@@ -1283,9 +1277,27 @@ class Subring(Tables):
         return element_label(self.parent, self.carrier[index])
 
 
+@per_ring
+def corner_ring(parent: FiniteRing, e: int) -> tuple:
+    """The corner ring e.S.e of S = parent for an idempotent e, with
+    identity e, as (ring, carrier) like subring, built once per e: S on its
+    own tables when e = 1, and the one-element ring, the only ring here
+    with 1 = 0, when e = 0, as when a product's split kills a factor."""
+    mul = parent.mul_table
+    carrier = tuple(sorted({mul[mul[e][x]][e] for x in range(parent.size)}))
+    record = Corner(parent, carrier)
+    if e == parent.one:
+        ring = FiniteRing(parent.size, parent.add_table, mul, parent.zero, e, record)
+    elif e == parent.zero:
+        ring = FiniteRing(1, ((0,),), ((0,),), 0, 0, record)
+    else:
+        ring = _gather(parent, carrier, {x: i for i, x in enumerate(carrier)}, e, record)
+    return ring, carrier
+
+
 @dataclass(frozen=True, eq=False)
 class Corner(Tables):
-    """A corner ring eSe of the parent S, on carrier (see morphisms._corner)."""
+    """A corner ring eSe of the parent S, on carrier (see corner_ring)."""
 
     parent: FiniteRing
     carrier: tuple
@@ -1489,8 +1501,11 @@ def proper_ideals(ring: FiniteRing) -> tuple:
 
 
 def is_saturated(ring: FiniteRing, members) -> bool:
-    """Whether xy in M forces both x and y into M, scanned over all of R."""
+    """Whether xy in M forces both x and y into M, scanned over all of R.
+    Raises ValueError for a member of M outside the ring's indices."""
     mset = frozenset(members)
+    if not mset <= ring.index_set:
+        raise ValueError("saturated set member out of range")
     mul = ring.mul_table
     for x in range(ring.size):
         row = mul[x]

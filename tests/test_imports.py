@@ -2,8 +2,9 @@
 no check lives in an assert statement, which python -O strips, no
 functools cache outlives the rings it was filled from, only the oracle
 searches for morphisms or runs the tensor epimorphism test, every name the
-package exports has a caller among its programs, and no program takes a
-ring's provenance record apart by position."""
+package exports has a caller among its programs, no program takes a
+ring's provenance record apart by position, only rings.py builds rings and
+only the oracle runs the checked morphism constructor."""
 import ast
 from pathlib import Path
 
@@ -194,5 +195,70 @@ def test_provenance_is_a_record_everywhere():
         for folder in (PACKAGE, ROOT / "tests")
         for path in sorted(folder.glob("*.py"))
         for line in provenance_by_position(path.read_text())
+    ]
+    assert found == []
+
+
+def record_classes(rings_source: str) -> set:
+    """The provenance record classes: Tables and every class that rings.py
+    derives from one, bases being defined before their subclasses."""
+    records = {"Tables"}
+    for n in ast.parse(rings_source).body:
+        if isinstance(n, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in records for b in n.bases):
+            records.add(n.name)
+    return records
+
+
+def test_record_classes_are_found():
+    source = ("class Tables: pass\nclass A(Tables): pass\nclass B: pass\n"
+              "class C(B, A): pass\n")
+    assert record_classes(source) == {"Tables", "A", "C"}
+
+
+def calls_to(source: str, names) -> list:
+    """Line of each call of one of names, by name or read off an object."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                found.append(n.lineno)
+    return sorted(found)
+
+
+def test_calls_are_found():
+    source = ("r = FiniteRing(1, a, m, 0, 0,\n    Corner(p, c))\n"
+              "s = rings.FiniteRing._constructed(2, 0, 1, ZMod(2))\n"
+              "g = RingMorphism._trusted(r, s, i)\nh = rings.RingMorphism(r, s, i)\n"
+              "isinstance(r.provenance, Corner)\n")
+    builds = {"FiniteRing", "_constructed", "Corner", "ZMod"}
+    assert calls_to(source, builds) == [1, 2, 3, 3]
+    assert calls_to(source, {"RingMorphism"}) == [5]
+
+
+def test_only_rings_builds_rings():
+    # every construction family's record and tables come from rings.py;
+    # elsewhere a ring is only asked for through its constructors
+    builds = {"FiniteRing", "_constructed"} | record_classes(
+        (PACKAGE / "rings.py").read_text())
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "rings.py"
+        for line in calls_to(path.read_text(), builds)
+    ]
+    assert found == []
+
+
+def test_only_the_oracle_checks_morphisms():
+    # the library builds the morphisms a theorem guarantees with
+    # RingMorphism._trusted; the oracle claim that owns the theorem checks them
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "oracle.py"
+        for line in calls_to(path.read_text(), {"RingMorphism"})
     ]
     assert found == []

@@ -22,7 +22,9 @@ from homposet.morphisms import (
 )
 from homposet.oracle import build_catalog
 from homposet.rings import (
+    Product,
     RingMorphism,
+    check_table_axioms,
     compose,
     ideal_generated_by,
     identity_morphism,
@@ -333,6 +335,26 @@ def test_product_decomposition_kills_one_factor():
     assert rebuild_product_morphism(dec) == f
 
 
+def test_every_corner_is_a_ring_with_identity_e():
+    # the split builds e.S.e unchecked; each one must satisfy the ring
+    # axioms with e as its 1, which the rebuild comparison alone misses
+    catalog = build_catalog(16)
+    bad = []
+    for prod in catalog.rings:
+        if not isinstance(prod.provenance, Product):
+            continue
+        for s in catalog.rings:
+            for f in enumerate_morphisms(prod, s):
+                dec = decompose_product_morphism(f)
+                e = dec.idempotent
+                for ring, carrier, idem in ((dec.corner1, dec.members1, e),
+                                            (dec.corner2, dec.members2, s.sub(s.one, e))):
+                    problems = check_table_axioms(ring)
+                    if problems or carrier[ring.one] != idem:
+                        bad.append((f, idem, problems))
+    assert bad == []
+
+
 def test_decompose_requires_product_source():
     z6 = make_zmod(6)
     with pytest.raises(NotAProduct):
@@ -376,6 +398,13 @@ def test_denominator_analysis_zero_in_t():
     rep = denominator_analysis(z6, frozenset({0, 1}))
     assert rep.ass_members == frozenset(range(6))
     assert rep.fraction_ring is None
+
+
+def test_denominator_analysis_refuses_members_outside_the_ring():
+    z6 = make_zmod(6)
+    for bad in (-1, z6.size):  # -1 would be read as element 5
+        with pytest.raises(ValueError, match="out of range"):
+            denominator_analysis(z6, {1, bad})
 
 
 def test_denominator_noncommutative():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from homposet import morphisms, oracle, pairs, poset, rings
+from homposet import oracle, pairs, poset, rings
 from homposet.morphisms import enumerate_morphisms
 from homposet.oracle import (
     CLAIMS,
@@ -509,12 +509,13 @@ def test_functor_laws_pulls_back_along_each_morphism_once(monkeypatch):
 def test_corner_split_builds_each_corner_once(monkeypatch):
     catalog = build_catalog(16)
     built = []
+    record = rings.Corner
 
-    def counted(size, add, mul, zero, one, provenance):
-        built.append((provenance.parent, provenance.carrier[one]))
-        return rings.FiniteRing(size, add, mul, zero, one, provenance)
+    def counted(parent, carrier):
+        built.append((parent, carrier))
+        return record(parent, carrier)
 
-    monkeypatch.setattr(morphisms, "FiniteRing", counted)
+    monkeypatch.setattr(rings, "Corner", counted)
     (claim,) = verify_theorems(catalog, only="corner-split").claims
     corners = set()
     for prod in catalog.rings:
@@ -524,7 +525,10 @@ def test_corner_split_builds_each_corner_once(monkeypatch):
         for s in catalog.rings:
             for f in enumerate_morphisms(prod, s):
                 e = f.images[r1.one * r2.size + r2.zero]
-                corners |= {(s, e), (s, s.sub(s.one, e))}
+                # the corner of an idempotent is its carrier e.S.e
+                corners |= {(s, tuple(sorted({s.mul_table[s.mul_table[i][x]][i]
+                                              for x in range(s.size)})))
+                            for i in (e, s.sub(s.one, e))}
     assert claim.ok and claim.checked > len(corners)
     assert len(built) == len(set(built)) == len(corners)
     assert set(built) == corners
@@ -539,6 +543,26 @@ def test_corner_split_reports_a_faulty_rebuild(monkeypatch):
     (claim,) = verify_theorems(build_catalog(8), only="corner-split").claims
     assert not claim.ok
     assert claim.witness.startswith("corner rebuild differs from RingMorphism(")
+
+
+def test_corner_split_reports_a_faulty_split_map(monkeypatch):
+    # the split maps are built unchecked, so one that is no morphism is
+    # reported with the check's reason, where a checked constructor would raise
+    split = oracle.decompose_product_morphism
+
+    def faulty(f):
+        dec = split(f)
+        g = dec.to_corner1
+        return replace(dec, to_corner1=RingMorphism._trusted(
+            g.source, g.target, [g.target.one] * g.source.size))
+
+    monkeypatch.setattr(oracle, "decompose_product_morphism", faulty)
+    (claim,) = verify_theorems(build_catalog(8), only="corner-split").claims
+    assert not claim.ok and claim.checked == 1
+    assert claim.witness == (
+        "split map 1 of RingMorphism(Z/2 x Z/2 -> Z/2, [0, 0, 1, 1]) is not a "
+        "morphism: morphism must preserve 0 and 1"
+    )
 
 
 def test_join_quotient_closes_each_union_once(monkeypatch):

@@ -351,6 +351,13 @@ def test_saturation_and_direct_finiteness():
     assert is_directly_finite(make_matrix_ring(make_zmod(2), 2))
 
 
+def test_saturation_refuses_members_outside_the_ring():
+    z6 = make_zmod(6)
+    for bad in (-1, z6.size):  # -1 would wrap onto the member 5
+        with pytest.raises(ValueError, match="out of range"):
+            is_saturated(z6, {1, 5, bad})
+
+
 def test_completely_prime_and_prime():
     z6 = make_zmod(6)
     two = Ideal(z6, frozenset({0, 2, 4}))
@@ -404,7 +411,7 @@ def regenerate(ring):
             q, _ = make_quotient(parent, Ideal(parent, frozenset(members)))
             return q
         case Subring(parent, carrier):
-            s, _ = subring(parent, carrier, allow_trivial=True)
+            s, _ = subring(parent, carrier)
             return s
     return ring
 
