@@ -114,13 +114,17 @@ def _morphisms_cached(src: FiniteRing, tgt: FiniteRing) -> tuple:
 
 def enumerate_morphisms(src: FiniteRing, tgt: FiniteRing,
                         caps: Caps = DEFAULT_CAPS) -> tuple:
-    """All unit-preserving ring morphisms src -> tgt, sorted by image tuple."""
+    """All unit-preserving ring morphisms src -> tgt, sorted by image tuple.
+    The memo on src is keyed by tables: maps into an equal ring are rebuilt."""
     bound = caps.morphism_search
     if src.size > bound or tgt.size > bound:
         raise CapExceeded(
             f"morphism search over sizes {src.size}, {tgt.size} exceeds cap {bound}"
         )
-    return _morphisms_cached(src, tgt)
+    found = _morphisms_cached(src, tgt)
+    if found and found[0].target is not tgt:
+        return tuple(RingMorphism._trusted(src, tgt, f.images) for f in found)
+    return found
 
 
 # ---------------------------------------------------------------------------

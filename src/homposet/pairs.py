@@ -19,6 +19,7 @@ from .rings import (
     RingMorphism,
     _is_ideal,
     _is_submonoid,
+    _unchecked,
     element_label,
     jacobson_radical,
     ring_label,
@@ -42,7 +43,7 @@ class _Top:
 TOP = _Top()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HomPair:
     """A pair (ideal, multiplicative set) over a ring, stored as frozensets.
 
@@ -53,6 +54,7 @@ class HomPair:
     poset.hom_poset and validate_pair for the full criterion).  Pairs that a
     theorem already guarantees, such as those hom_poset, meet and
     pair_of_morphism build, come from _trusted and skip the checks.
+    Equality and hashing are the dataclass's, on ring, ideal and mset.
     """
 
     ring: FiniteRing
@@ -78,29 +80,7 @@ class HomPair:
     def _trusted(cls, ring, ideal, mset):
         """A pair whose structural facts a theorem guarantees, built
         without __post_init__'s checks."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "ring", ring)
-        object.__setattr__(pair, "ideal", frozenset(ideal))
-        object.__setattr__(pair, "mset", frozenset(mset))
-        return pair
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, HomPair):
-            return NotImplemented
-        return (
-            self.ideal == other.ideal
-            and self.mset == other.mset
-            and self.ring == other.ring
-        )
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((hash(self.ring), self.ideal, self.mset))
-            self.__dict__["_hash"] = h
-        return h
+        return _unchecked(cls, ring=ring, ideal=frozenset(ideal), mset=frozenset(mset))
 
     def __repr__(self):
         return (

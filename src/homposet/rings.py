@@ -4,7 +4,11 @@ A FiniteRing stores full addition and multiplication tables over carrier
 indices 0..size-1 and is immutable, so values can be shared and hashed
 freely.  Equality and hashing look only at the tables (and the designated
 zero/one), never at provenance: two constructions that produce identical
-tables are the same ring for every purpose downstream.
+tables are the same ring for every purpose downstream.  FiniteRing alone
+writes its own equality: it reads (so builds) tables only once size, zero
+and one agree, and hashes its n^2 cells once; Ideal, RingMorphism and
+HomPair take the dataclass's.  Values a theorem guarantees skip their
+constructors' checks through one builder, _unchecked.
 
 Elements are plain ints.  All rings here have 1 != 0.  The one-element ring is
 rejected by every public constructor; only corner_ring builds it, for a
@@ -27,7 +31,6 @@ reads a record's fields.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from operator import getitem, itemgetter
@@ -44,6 +47,14 @@ from .errors import (
     RingMismatch,
     ZeroRingExcluded,
 )
+
+
+def _unchecked(cls, **fields):
+    """A cls value with these fields, built without its checks: for values
+    a theorem or a construction already guarantees."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def per_ring(fn):
@@ -151,9 +162,7 @@ class FiniteRing:
     @classmethod
     def _constructed(cls, size, zero, one, provenance):
         """A ring whose provenance builds its tables on first read."""
-        ring = object.__new__(cls)
-        ring.__dict__.update(size=size, zero=zero, one=one, provenance=provenance)
-        return ring
+        return _unchecked(cls, size=size, zero=zero, one=one, provenance=provenance)
 
     # elementwise operations on carrier indices
     def sub(self, a: int, b: int) -> int:
@@ -351,10 +360,7 @@ class Ideal:
     @classmethod
     def _trusted(cls, ring, members):
         """An ideal a closure guarantees, built without the check."""
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "ring", ring)
-        object.__setattr__(ideal, "members", frozenset(members))
-        return ideal
+        return _unchecked(cls, ring=ring, members=frozenset(members))
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -400,7 +406,7 @@ def _preserves(src: FiniteRing, tgt: FiniteRing, f, elems, basis, gens):
     return None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RingMorphism:
     """Unit-preserving ring morphism stored as an image tuple.
 
@@ -409,27 +415,22 @@ class RingMorphism:
     the source's additive basis and x against its generators, which decides
     preservation exactly because both rings satisfy the ring axioms.  Maps a
     theorem already guarantees, such as composites of morphisms, come from
-    _trusted and skip the check.
+    _trusted and skip the check.  Equality and hashing are the dataclass's,
+    on source, target and images.
     """
 
     source: FiniteRing
     target: FiniteRing
     images: tuple
 
-    def __init__(self, source, target, images):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", tuple(images))
+    def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
         self._validate()
 
     @classmethod
     def _trusted(cls, source, target, images):
         """A morphism a theorem guarantees, built without the check."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "source", source)
-        object.__setattr__(f, "target", target)
-        object.__setattr__(f, "images", tuple(images))
-        return f
+        return _unchecked(cls, source=source, target=target, images=tuple(images))
 
     def _validate(self):
         src, tgt, f = self.source, self.target, self.images
@@ -443,27 +444,6 @@ class RingMorphism:
                              src.generators)
         if problem:
             raise ValueError(problem)
-
-    def __call__(self, index: int) -> int:
-        return self.images[index]
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, RingMorphism):
-            return NotImplemented
-        return (
-            self.images == other.images
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((hash(self.source), hash(self.target), self.images))
-            self.__dict__["_hash"] = h
-        return h
 
     @cached_property
     def kernel_members(self) -> frozenset:
@@ -665,27 +645,12 @@ class ZMod(Constructed):
     n: int
 
     def tables(self):
-        """Addition row a is 0..n-1 rotated left by a, built by slicing.
-        When a = b*c with b the least prime factor of a, multiplication row
-        a is row b read at row c, since a*y = b*(c*y) mod n; rows of primes
-        and of 0 and 1 are computed entry by entry."""
+        """Addition row a is 0..n-1 rotated left by a, built by slicing;
+        multiplication row a is a*y mod n."""
         n = self.n
         elems = tuple(range(n))
         add = [elems[a:] + elems[:a] for a in range(n)]
-        least = [0] * n  # least prime factor of a composite a, else 0
-        for b in range(2, math.isqrt(n - 1) + 1):
-            if not least[b]:
-                for a in range(b * b, n, b):
-                    if not least[a]:
-                        least[a] = b
-        mul = []
-        for a in range(n):
-            b = least[a]
-            if b:
-                mul.append(itemgetter(*mul[a // b])(mul[b]))
-            else:
-                mul.append(tuple([(a * y) % n for y in elems]))
-        return add, mul
+        return add, [[a * y % n for y in elems] for a in range(n)]
 
     def units(self, ring):
         return _coprime_to(self.n, self.n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NotPrime
 from .pairs import TOP
-from .rings import _least_factor, is_prime
+from .rings import _least_factor, _unchecked, is_prime
 
 
 def factorization(n: int) -> tuple:
@@ -43,7 +43,8 @@ class PrimeSet:
     """A finite or cofinite set of primes.
 
     members is the set itself when cofinite is False, and the finite set of
-    excluded primes when cofinite is True.
+    excluded primes when cofinite is True.  Unions, intersections and a
+    modulus's prime divisors hold known primes and come from _known untested.
     """
 
     cofinite: bool
@@ -61,19 +62,19 @@ class PrimeSet:
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
         if not self.cofinite and not other.cofinite:
-            return PrimeSet(False, self.members | other.members)
+            return _known(False, self.members | other.members)
         if self.cofinite and other.cofinite:
-            return PrimeSet(True, self.members & other.members)
+            return _known(True, self.members & other.members)
         fin, cof = (self, other) if not self.cofinite else (other, self)
-        return PrimeSet(True, cof.members - fin.members)
+        return _known(True, cof.members - fin.members)
 
     def intersection(self, other: "PrimeSet") -> "PrimeSet":
         if not self.cofinite and not other.cofinite:
-            return PrimeSet(False, self.members & other.members)
+            return _known(False, self.members & other.members)
         if self.cofinite and other.cofinite:
-            return PrimeSet(True, self.members | other.members)
+            return _known(True, self.members | other.members)
         fin, cof = (self, other) if not self.cofinite else (other, self)
-        return PrimeSet(False, fin.members - cof.members)
+        return _known(False, fin.members - cof.members)
 
     def is_subset(self, other: "PrimeSet") -> bool:
         if not self.cofinite and not other.cofinite:
@@ -87,6 +88,11 @@ class PrimeSet:
     def __repr__(self):
         inner = ",".join(map(str, sorted(self.members)))
         return f"coP={{{inner}}}" if self.cofinite else f"P={{{inner}}}"
+
+
+def _known(cofinite: bool, members: frozenset) -> PrimeSet:
+    """A PrimeSet whose members are already known prime, built untested."""
+    return _unchecked(PrimeSet, cofinite=cofinite, members=members)
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def z_meet(x, y):
     if not x.is_modular and not y.is_modular:
         return z_zero_kernel(x.primes.union(y.primes))
     zk, md = (x, y) if not x.is_modular else (y, x)
-    return z_zero_kernel(zk.primes.union(PrimeSet(False, prime_divisors(md.modulus))))
+    return z_zero_kernel(zk.primes.union(_known(False, prime_divisors(md.modulus))))
 
 
 def z_join(x, y):

@@ -3,8 +3,9 @@ no check lives in an assert statement, which python -O strips, no
 functools cache outlives the rings it was filled from, only the oracle
 searches for morphisms or runs the tensor epimorphism test, every name the
 package exports has a caller among its programs, no program takes a
-ring's provenance record apart by position, only rings.py builds rings and
-only the oracle runs the checked morphism constructor."""
+ring's provenance record apart by position, only rings.py builds rings,
+only the oracle runs the checked morphism constructor, only FiniteRing
+writes its own equality and only rings._unchecked calls object.__new__."""
 import ast
 from pathlib import Path
 
@@ -216,16 +217,22 @@ def test_record_classes_are_found():
     assert record_classes(source) == {"Tables", "A", "C"}
 
 
+def named(node):
+    """The name a Name holds or an Attribute reads off its object, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def calls_to(source: str, names) -> list:
     """Line of each call of one of names, by name or read off an object."""
-    found = []
-    for n in ast.walk(ast.parse(source)):
-        if isinstance(n, ast.Call):
-            f = n.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in names:
-                found.append(n.lineno)
-    return sorted(found)
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and named(n.func) in names)
+
+
+def unchecked_builds(source: str, names) -> list:
+    """Line of each call _unchecked(X, ...) with X one of names."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and named(n.func) == "_unchecked"
+                  and n.args and named(n.args[0]) in names)
 
 
 def test_calls_are_found():
@@ -238,6 +245,13 @@ def test_calls_are_found():
     assert calls_to(source, {"RingMorphism"}) == [5]
 
 
+def test_unchecked_builds_are_found():
+    source = ("r = _unchecked(FiniteRing, size=2)\np = rings._unchecked(rings.ZMod, n=2)\n"
+              "q = _unchecked(PrimeSet, cofinite=False)\nf = _unchecked(cls, x=1)\n"
+              "g = FiniteRing(_unchecked)\n")
+    assert unchecked_builds(source, {"FiniteRing", "ZMod"}) == [1, 2]
+
+
 def test_only_rings_builds_rings():
     # every construction family's record and tables come from rings.py;
     # elsewhere a ring is only asked for through its constructors
@@ -248,6 +262,7 @@ def test_only_rings_builds_rings():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "rings.py"
         for line in calls_to(path.read_text(), builds)
+        + unchecked_builds(path.read_text(), builds)
     ]
     assert found == []
 
@@ -262,3 +277,82 @@ def test_only_the_oracle_checks_morphisms():
         for line in calls_to(path.read_text(), {"RingMorphism"})
     ]
     assert found == []
+
+
+def equality_methods(source: str) -> list:
+    """(line, "Class.name") of each __eq__ or __hash__ that a class body
+    defines or assigns, or that is assigned onto a class by attribute."""
+    special = ("__eq__", "__hash__")
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.ClassDef):
+            for item in n.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                found += [(item.lineno, f"{n.name}.{name}") for name in names if name in special]
+        elif isinstance(n, ast.Assign):
+            found += [(n.lineno, f"{named(t.value)}.{t.attr}") for t in n.targets
+                      if isinstance(t, ast.Attribute) and t.attr in special]
+    return sorted(found)
+
+
+def test_equality_methods_are_found():
+    source = ("class A:\n    def __eq__(self, o): pass\n    def __repr__(self): pass\n"
+              "class B:\n    __hash__ = None\n    class C:\n        def __hash__(self): pass\n"
+              "def __eq__(a, b): pass\nA.__hash__ = hash\n")
+    assert equality_methods(source) == [(2, "A.__eq__"), (5, "B.__hash__"),
+                                        (7, "C.__hash__"), (9, "A.__hash__")]
+
+
+def test_only_finite_ring_writes_its_equality():
+    # pairs, morphisms and ideals compare and hash by their fields through
+    # the dataclass; a ring compares its tables, hashes them once and never
+    # builds a constructed ring's tables just to tell two objects apart
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, name in equality_methods(path.read_text())
+    ]
+    assert found == ["rings.py: FiniteRing.__eq__", "rings.py: FiniteRing.__hash__"]
+
+
+def object_new_calls(source: str) -> list:
+    """(line, dotted name of the enclosing classes and functions) of each
+    call of object.__new__; a module-level call has the name ''."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__" and named(child.func.value) == "object"):
+                found.append((child.lineno, scope))
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_object_new_calls_are_found():
+    source = ("def f():\n    return object.__new__(A)\nclass B:\n    def g(cls):\n"
+              "        super().__new__(cls)\n        A.__new__(A)\n"
+              "        return object.__new__(cls)\nobject.__new__(C)\n")
+    assert object_new_calls(source) == [(2, "f"), (7, "B.g"), (8, "")]
+
+
+def test_only_unchecked_skips_constructors():
+    # a value that a theorem guarantees is built by rings._unchecked alone,
+    # so no class repeats its own way around its checks
+    found = [
+        f"{path.name}: {scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, scope in object_new_calls(path.read_text())
+    ]
+    assert found == ["rings.py: _unchecked"]

@@ -34,6 +34,7 @@ from homposet.rings import (
     make_quotient,
     make_zmod,
     ring_from_tables,
+    ring_label,
     subring,
 )
 
@@ -218,6 +219,23 @@ def test_morphism_search_is_sorted_and_cached():
     a = enumerate_morphisms(z6, z6)
     assert list(a) == sorted(a, key=lambda f: f.images)
     assert enumerate_morphisms(z6, z6) is a
+
+
+@pytest.mark.parametrize("quotient_first", [False, True])
+def test_morphisms_map_into_the_ring_passed(quotient_first):
+    # Z/8/(4) has the tables of Z/4, so both share one memo entry on Z/8;
+    # each call still gets maps into its own target object
+    z8, z4 = make_zmod(8), make_zmod(4)
+    q, _ = make_quotient(z8, ideal_generated_by(z8, (4,)))
+    assert q == z4 and q is not z4
+    order = (q, z4) if quotient_first else (z4, q)
+    found = [enumerate_morphisms(z8, tgt) for tgt in order]
+    for tgt, maps in zip(order, found):
+        assert len(maps) == 1 and maps[0].target is tgt
+        # the memo's own maps come back again; the other target's are rebuilt
+        assert (enumerate_morphisms(z8, tgt) is maps) == (tgt is order[0])
+    labels = {ring_label(maps[0].target) for maps in found}
+    assert labels == {"Z/8/(0,4)", "Z/4"}
 
 
 def test_characteristic_cut_skips_the_search(monkeypatch):

@@ -19,6 +19,7 @@ from homposet.oracle import build_catalog, realized_pairs
 from homposet.poset import hom_poset
 from homposet.rings import (
     Ideal,
+    RingMorphism,
     _is_ideal,
     element_label,
     enumerate_ideals,
@@ -28,6 +29,7 @@ from homposet.rings import (
     make_quotient,
     make_zmod,
     regular_elements,
+    ring_from_tables,
 )
 
 
@@ -197,6 +199,37 @@ def test_pair_equality_and_hash():
     b = hom_poset(z6).least
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def equal_value_cases():
+    """For a pair and a morphism over Z/6 and a table copy of it, another
+    object: (a value from the public constructor, values equal to it built
+    otherwise, a value unequal to it)."""
+    z6 = make_zmod(6)
+    copy = ring_from_tables(z6.add_table, z6.mul_table)
+    ideal, mset = frozenset({0}), frozenset({1, 5})
+    pair = HomPair(z6, ideal, mset)
+    pairs = (pair, [HomPair._trusted(z6, ideal, mset), HomPair(copy, {0}, {1, 5})],
+             HomPair(z6, ideal, {1, 3, 5}))
+    # the two projections of Z/6 x Z/6, whose element (a, b) is a*6 + b
+    square = make_product(z6, z6)
+    first = [x // 6 for x in range(36)]
+    morphism = RingMorphism(square, z6, first)
+    morphisms = (morphism, [RingMorphism._trusted(square, z6, first),
+                            RingMorphism(square, copy, first)],
+                 RingMorphism(square, z6, [x % 6 for x in range(36)]))
+    return [pairs, morphisms]
+
+
+@pytest.mark.parametrize("value, equal, unequal", equal_value_cases(),
+                         ids=["pair", "morphism"])
+def test_values_compare_by_their_components(value, equal, unequal):
+    # a ring compares by its tables, so a twin over the copy is equal too
+    for other in equal:
+        assert other is not value
+        assert other == value and value == other and hash(other) == hash(value)
+    assert len({value, *equal}) == 1
+    assert unequal != value and value != unequal
 
 
 @settings(deadline=None)

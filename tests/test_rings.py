@@ -1348,7 +1348,7 @@ def relabelled_z3() -> FiniteRing:
 
 
 def test_zmod_tables_match_reference():
-    # composed multiplication rows; at n = 1024 row 512 is composed nine deep
+    # every n up to 300, and Z/1024 at table cap 1024, the largest Z/n built here
     wide = Caps(table_size=1024)
     for n in list(range(2, 301)) + [1024]:
         ring = make_zmod(n, wide)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import isprime, primefactors, primerange
 
+from homposet import zhom
 from homposet.errors import NotPrime
 from homposet.pairs import TOP, leq as pair_leq, meet as pair_meet
 from homposet.poset import hom_poset, join_ext, least_of_fiber
@@ -273,6 +274,30 @@ def test_prime_set_rejects_composites():
         PrimeSet(False, frozenset({4}))
     with pytest.raises(NotPrime):
         z_zero_kernel(PrimeSet(True, frozenset({2, 9})))
+
+
+def test_order_operations_test_no_prime_again(monkeypatch):
+    # members of a union, an intersection or a modulus's prime divisors are
+    # known prime already; only a PrimeSet from outside is tested
+    calls = []
+    test = zhom.is_prime
+    monkeypatch.setattr(zhom, "is_prime", lambda p: calls.append(p) or test(p))
+    two_three = parse_z_element("0:P=2,3")
+    cofinite = parse_z_element("0:coP=5,7")
+    assert sorted(calls) == [2, 3, 5, 7]
+    calls.clear()
+    big = z_modular(999983 * 999979)
+    assert format_z_element(z_meet(two_three, big)) == "0:P=2,3,999979,999983"
+    assert format_z_element(z_meet(big, cofinite)) == "0:coP=5,7"
+    assert z_join(two_three, z_modular(12)) == z_modular(12)
+    assert format_z_element(z_join(two_three, cofinite)) == "0:P=2,3"
+    for a in (two_three.primes, cofinite.primes):
+        for b in (two_three.primes, cofinite.primes):
+            a.union(b), a.intersection(b)
+    assert calls == []
+    with pytest.raises(NotPrime):
+        PrimeSet(False, {4})
+    assert calls == [4]
 
 
 def test_element_validation():
